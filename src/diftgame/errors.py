@@ -60,4 +60,8 @@ class GenerationFailed(DiftGameError):
 
 
 class NonConvergence(DiftGameError):
-    """Power iteration for a swap-weight fixed point hit its sweep cap."""
+    """An iterative solve reached its iteration cap before its tolerance.
+
+    Part of the public error hierarchy; the swap-chain fixed point is a
+    direct solve and never raises it.
+    """

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, ValidationError
+from .errors import ValidationError
 from .game import DROP, AdversaryStrategy, DefenderStrategy, GameParams, evaluate_pure_profile
 from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
 
@@ -182,37 +182,32 @@ def swap_distribution(p, r: int, s: int) -> np.ndarray:
     return q
 
 
-def fixed_point(delta, n_actions: int | None = None, tol: float = 1e-12,
-                max_sweeps: int = 100_000) -> np.ndarray:
+def fixed_point(delta) -> np.ndarray:
     """Stationary distribution of the swap chain induced by pair weights.
 
     ``delta`` is a k x k matrix of weights over ordered action pairs (its
     diagonal is ignored); the chain moves mass from r to s at rate
-    delta[r, s].  Power iteration from uniform until the L1 sweep change is
-    below ``tol``; raises NonConvergence at the sweep cap.
+    delta[r, s].  One least-squares solve of pQ = p, sum(p) = 1.  When pair
+    weights underflow to zero the chain can be reducible; the solve then
+    returns the minimum-norm stationary distribution, a positive combination
+    of the closed classes' distributions (their supports are disjoint), so
+    it is still nonnegative.
     """
     delta = np.array(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValidationError(f"delta must be square, got shape {delta.shape}")
-    k = delta.shape[0] if n_actions is None else n_actions
-    if delta.shape[0] != k:
-        raise ValidationError("n_actions disagrees with the delta matrix")
     if np.any(delta < 0):
         raise ValidationError("swap weights must be nonnegative")
     np.fill_diagonal(delta, 0.0)
     if abs(delta.sum() - 1.0) > 1e-6:
         raise ValidationError("swap weights must form a distribution over ordered pairs")
+    k = delta.shape[0]
     q = delta.copy()
     np.fill_diagonal(q, 1.0 - delta.sum(axis=1))
-    p = np.full(k, 1.0 / k)
-    for _ in range(max_sweeps):
-        nxt = p @ q
-        if np.abs(nxt - p).sum() <= tol:
-            p = nxt
-            break
-        p = nxt
-    else:
-        raise NonConvergence(f"power iteration did not reach {tol} in {max_sweeps} sweeps")
+    a = np.vstack([q.T - np.eye(k), np.ones((1, k))])
+    b = np.zeros(k + 1)
+    b[-1] = 1.0
+    p, *_ = np.linalg.lstsq(a, b, rcond=None)
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
@@ -505,7 +500,6 @@ class CorrelatedEquilibriumResult:
     converged: bool
     iterations: int
     final_gap: float
-    notes: tuple[str, ...] = ()
 
     def joint_profiles(self) -> np.ndarray:
         keep = math.ceil(self.iterations / 2)
@@ -567,11 +561,10 @@ def run(
     g10 = np.zeros(n_def)
     p1 = np.full(n_def, 0.5)
 
-    profiles = np.zeros((cfg.max_iters, n_players), dtype=np.int16)
-    trace = np.zeros((cfg.max_iters, 4))
+    profiles: list[np.ndarray] = []
+    trace: list[tuple[int, float, float, float]] = []
     sum_ud = 0.0
     sum_ua = 0.0
-    notes: list[str] = []
     converged = False
     gap = math.inf
     t = 0
@@ -611,16 +604,7 @@ def run(
                 d01 = _sigmoid(eta * (g[0, 1] - g[1, 0]))
                 new_p = np.array([1.0 - d01, d01])
             else:
-                delta = _softmax_pairs(g, eta)
-                try:
-                    new_p = fixed_point(delta)
-                    q = delta.copy()
-                    np.fill_diagonal(q, 1.0 - delta.sum(axis=1))
-                    if np.abs(new_p - new_p @ q).sum() > 1e-10:
-                        raise NonConvergence("stationarity residual above 1e-10")
-                except NonConvergence:
-                    new_p = np.full(len(p), 1.0 / len(p))
-                    notes.append(f"iteration {t + 1}: fixed point reset for player {idx}")
+                new_p = fixed_point(_softmax_pairs(g, eta))
             gap = max(gap, float(np.abs(new_p - p).max()))
             dist[idx] = new_p
             cums[idx] = np.cumsum(new_p)
@@ -635,9 +619,9 @@ def run(
         gap = max(gap, float(np.abs(new_p1 - p1).max()))
         p1 = new_p1
 
-        profiles[t] = actions
+        profiles.append(actions.astype(np.int16))
         t += 1
-        trace[t - 1] = (t, sum_ud / t, sum_ua / t, gap)
+        trace.append((t, sum_ud / t, sum_ua / t, gap))
         if gap <= cfg.eps:
             converged = True
             break
@@ -649,12 +633,11 @@ def run(
         roster=roster,
         config=cfg,
         distributions=tuple(distributions),
-        profiles=profiles[:t],
-        trace=trace[:t],
+        profiles=np.array(profiles),
+        trace=np.array(trace),
         converged=converged,
         iterations=t,
         final_gap=float(gap),
-        notes=tuple(notes),
     )
 
 

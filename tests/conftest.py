@@ -165,18 +165,40 @@ def oracle_separator_min_cost(graph, params):
     return best
 
 
-def oracle_stationary(delta):
-    """Stationary distribution of the swap chain by dense linear solve."""
+def swap_chain(delta):
+    """Transition matrix of the swap chain: rates delta[r, s] off the diagonal."""
     delta = np.array(delta, dtype=float)
-    k = delta.shape[0]
     np.fill_diagonal(delta, 0.0)
     q = delta.copy()
     np.fill_diagonal(q, 1.0 - delta.sum(axis=1))
+    return q
+
+
+def oracle_stationary(delta):
+    """Stationary distribution of the swap chain by dense linear solve."""
+    q = swap_chain(delta)
+    k = q.shape[0]
     a = np.vstack([q.T - np.eye(k), np.ones((1, k))])
     b = np.zeros(k + 1)
     b[-1] = 1.0
     p, *_ = np.linalg.lstsq(a, b, rcond=None)
     return p
+
+
+def oracle_power_iteration(delta, tol=1e-12, max_sweeps=100_000):
+    """Stationary distribution of the swap chain by power iteration from uniform.
+
+    Independent of the linear solve; only fit for chains that mix, such as
+    strictly positive pair weights.
+    """
+    q = swap_chain(delta)
+    p = np.full(q.shape[0], 1.0 / q.shape[0])
+    for _ in range(max_sweeps):
+        nxt = p @ q
+        if np.abs(nxt - p).sum() <= tol:
+            return nxt
+        p = nxt
+    raise AssertionError(f"power iteration did not reach {tol} in {max_sweeps} sweeps")
 
 
 def exhaustive_pure_defender_average(graph, params, defender, walk):

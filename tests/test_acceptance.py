@@ -14,6 +14,7 @@ from diftgame.experiments import DEFAULT_FACTORS, sweep_cost
 
 from conftest import (
     oracle_best_path_value,
+    oracle_power_iteration,
     oracle_separator_min_cost,
     oracle_stationary,
     random_dag_instance,
@@ -358,9 +359,12 @@ def test_criterion_10_fixed_point_correctness():
         np.fill_diagonal(q, 1.0 - delta.sum(axis=1))
         residual = float(np.abs(point - point @ q).sum())
         gap = float(np.abs(point - oracle_stationary(delta)).max())
+        power_gap = float(np.abs(point - oracle_power_iteration(delta)).max())
         worst_res = max(worst_res, residual)
-        worst_gap = max(worst_gap, gap)
+        worst_gap = max(worst_gap, gap, power_gap)
         assert residual <= 1e-10
         assert gap <= 1e-8
-    _report("criterion 10: swap-chain fixed points verified against dense solves",
+        assert power_gap <= 1e-8
+    _report("criterion 10: swap-chain fixed points verified against dense solves "
+            "and power iteration",
             f"1000 matrices, worst residual {worst_res:.1e}, worst oracle gap {worst_gap:.1e}")

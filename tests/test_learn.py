@@ -8,7 +8,13 @@ from diftgame.errors import NonConvergence, ValidationError
 from diftgame.game import DROP
 from diftgame.learn import ADVANCE, LearnerConfig, build_roster, fixed_point, swap_distribution
 
-from conftest import oracle_stationary, random_dag_instance, random_params
+from conftest import (
+    oracle_power_iteration,
+    oracle_stationary,
+    random_dag_instance,
+    random_params,
+    swap_chain,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +96,36 @@ def test_fixed_point_matches_dense_solve(rng):
         np.fill_diagonal(q, 1.0 - delta.sum(axis=1))
         assert np.abs(p - p @ q).sum() <= 1e-10
         assert np.allclose(p, oracle_stationary(delta), atol=1e-8)
+        assert np.allclose(p, oracle_power_iteration(delta), atol=1e-8)
+
+
+def _underflowed_softmax_pairs():
+    g = np.zeros((4, 4))
+    g[0, 1] = g[2, 3] = 100.0
+    g[0, 2] = 99.0
+    delta = learn._softmax_pairs(g, 10.0)
+    # the pairs left at 0 sit eta * 100 = 1000 below the max: exp(-1000) == 0
+    assert np.count_nonzero(delta) == 3
+    return delta
+
+
+HARD_CHAINS = {
+    # mixes in about 1e6 sweeps, past any practical power-iteration budget
+    "near_reducible": lambda: [[0.0, 1 - 2e-6, 0.0], [1e-6, 0.0, 0.0], [1e-6, 0.0, 0.0]],
+    # two closed classes: every mixture of e_1 and e_2 is stationary
+    "reducible": lambda: [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    "softmax_underflow": _underflowed_softmax_pairs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CHAINS))
+def test_fixed_point_hard_chains(name):
+    delta = np.array(HARD_CHAINS[name]())
+    p = fixed_point(delta)
+    assert np.all(p >= 0.0)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(p - p @ swap_chain(delta)).sum() <= 1e-10
+    assert np.array_equal(p, fixed_point(delta))
 
 
 def test_fixed_point_rejects_bad_delta():
@@ -251,6 +287,39 @@ def test_run_two_action_update_is_swap_chain_fixed_point(rng):
         delta = learn._softmax_pairs(np.array([[0.0, g01[local]], [g10[local], 0.0]]), 0.05)
         stationary = fixed_point(delta)
         assert np.allclose(stationary, res.distributions[d0 + local], atol=1e-9)
+
+
+def test_run_underflowed_move_player_is_swap_chain_fixed_point():
+    # at eta=10 the pair weights of the 4-action move player at (1, 1)
+    # underflow to exact zeros, so its swap chain is reducible
+    g = ifg.make_graph(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], [[4]], [1],
+                       rule_relevance=[(1,)] * 4)
+    p = random_params(np.random.default_rng(23), g.n, 1)
+    eta = 10.0
+    res = learn.run(g, p, LearnerConfig(eta=eta, eps=1e-9, max_iters=50, seed=23))
+    roster = res.roster
+    idx = roster.move_index[(1, 1)]
+    k = roster.players[idx].n_actions
+    assert k == 4
+    # re-derive the player's cumulative swap utilities with the reference
+    # pure-profile evaluator, replaying the recorded profiles
+    dist = np.full(k, 1.0 / k)
+    big_g = np.zeros((k, k))
+    for actions in res.profiles.astype(np.int64):
+        utils = np.array([
+            learn.expected_swap_utility(roster, idx, np.eye(k)[a], actions, g, p)
+            for a in range(k)
+        ])
+        for r in range(k):
+            for s in range(k):
+                if r != s:
+                    big_g[r, s] += float(swap_distribution(dist, r, s) @ utils)
+        dist = fixed_point(learn._softmax_pairs(big_g, eta))
+    delta = learn._softmax_pairs(big_g, eta)
+    assert np.count_nonzero(delta) < k * (k - 1)
+    final = res.distributions[idx]
+    assert np.allclose(fixed_point(delta), final, atol=1e-9)
+    assert np.abs(final - final @ swap_chain(delta)).sum() <= 1e-10
 
 
 def test_adversary_players_share_utility_and_defenders_too(rng):
