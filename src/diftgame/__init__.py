@@ -4,8 +4,8 @@ multi-stage attacks on an information flow graph.
 Submodules:
 
 * ``ifg``          - graph data model, validation, augmentation, file I/O
-* ``game``         - strategies, parameters, exact / Monte Carlo / pure-profile
-                     payoff evaluation
+* ``game``         - strategies, parameters, absorbing-chain / walk-enumeration /
+                     Monte Carlo / pure-profile payoff evaluation
 * ``respond``      - adversary shortest-path best response, defender
                      discretized submodular (double-greedy) best response
 * ``single_stage`` - exact single-stage equilibrium: flow network, min-cut,

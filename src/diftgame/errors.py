@@ -27,16 +27,26 @@ class ParseError(DiftGameError):
 
 
 class TruncationError(DiftGameError):
-    """Exact evaluation left more residual walk mass than the tolerance allows."""
+    """Walk enumeration left more walk mass unresolved than it may.
 
-    def __init__(self, residual, eps, max_len):
+    Exact evaluation raises it when the walk mass still alive at ``max_len``
+    moves exceeds ``eps``; ``CompiledPaths`` raises it when the adversary's
+    support has more than ``walk_cap`` walks, with ``residual`` the walk mass
+    not yet enumerated.
+    """
+
+    def __init__(self, residual, eps, max_len, walk_cap=None):
         self.residual = residual
         self.eps = eps
         self.max_len = max_len
-        super().__init__(
-            f"residual walk mass {residual:.3e} exceeds eps_trunc={eps:.1e} "
-            f"at max_len={max_len}; raise max_len or use the Monte Carlo estimator"
-        )
+        self.walk_cap = walk_cap
+        if walk_cap is None:
+            message = (f"residual walk mass {residual:.3e} exceeds eps_trunc={eps:.1e} "
+                       f"at max_len={max_len}; raise max_len or use the Monte Carlo estimator")
+        else:
+            message = (f"adversary support has more than {walk_cap} walks of at most "
+                       f"max_len={max_len} moves; walk mass {residual:.3e} is not enumerated")
+        super().__init__(message)
 
 
 class InvalidPath(DiftGameError):

@@ -8,16 +8,24 @@ picks, per (node, stage), a distribution over out-neighbors plus a drop
 action; arriving at a stage-j destination while in stage j forces the stage
 to advance.
 
-Three evaluators share these semantics:
+These evaluators share these semantics:
 
+* ``AbsorbingChain``       - the walk as an absorbing Markov chain over
+                             decision states; one linear solve per defender,
+                             exact over an unbounded horizon, cyclic support
+                             included.
 * ``evaluate_exact``       - enumerates every positive-probability walk up to
                              ``max_len`` moves (suitable for small or acyclic
-                             instances); detection trials are independent per
-                             node visit.
-* ``evaluate_monte_carlo`` - seeded vectorized rollouts, with standard errors.
+                             instances); ``CompiledPaths`` stores the walks
+                             for repeated evaluation.
+* ``evaluate_monte_carlo`` - seeded vectorized rollouts, with standard errors;
+                             walks still alive after ``max_len`` moves count as
+                             drops.
 * ``evaluate_pure_profile``- deterministic 0/1 defender bits against a fixed
                              walk; a node's bits are committed once, so a
                              revisited unarmed node stays unarmed.
+
+All but the last draw detection independently on every node visit.
 """
 
 from __future__ import annotations
@@ -186,10 +194,16 @@ class DefenderStrategy:
         return DefenderStrategy(probs)
 
     def detection_vector(self, graph: InformationFlowGraph) -> np.ndarray:
-        """Per-node detection probability; index 0 (pseudo-source) is 0."""
-        d = np.zeros(graph.n + 1)
-        for i in range(1, graph.n + 1):
-            d[i] = detection_prob(i, self, graph.relevance(i))
+        """Per-node detection probability; index 0 (pseudo-source) is 0.
+
+        Every node multiplies its tag, trap and relevant rules left to right,
+        as ``detection_prob`` does; padding columns multiply by an exact 1.0.
+        """
+        probs = np.concatenate((self.probs, np.ones((self.probs.shape[0], 1))), axis=1)
+        rules = np.take_along_axis(probs, graph.rule_columns, axis=1)
+        d = probs[:, 0] * probs[:, 1]
+        for column in rules.T:
+            d *= column
         return d
 
     def __eq__(self, other):
@@ -539,18 +553,17 @@ def strategy_costs(
     These depend on the defender strategy alone; rule costs are charged for
     every selected rule, relevant at the node or not.
     """
-    tag = math.fsum(
-        defender.probs[i, 0] * params.tag_cost(graph, i) for i in range(1, graph.n + 1)
-    )
-    trap = math.fsum(
-        defender.probs[i, 1] * params.trap_cost(graph, i) for i in range(1, graph.n + 1)
-    )
-    rule = math.fsum(
-        defender.probs[i, 1 + r] * params.gamma[r - 1]
-        for i in range(1, graph.n + 1)
-        for r in range(1, graph.n + 1)
-    )
+    probs = defender.probs[1:]
+    traffic = np.asarray(graph.traffic)
+    tag = _exact_sum(probs[:, 0] * (params.c1 * traffic))
+    trap = _exact_sum(probs[:, 1] * (params.c2 * traffic))
+    rule = _exact_sum(probs[:, 2:] * np.asarray(params.gamma))
     return tag, trap, rule
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum; zero terms cannot change it, so they are skipped."""
+    return math.fsum(terms[terms != 0].tolist())
 
 
 def assemble_utilities(
@@ -616,10 +629,11 @@ def evaluate_exact(
 class CompiledPaths:
     """A materialized walk set for repeated evaluation against many defenders.
 
-    Compiling fails fast (``capacity exceeded``) when the adversary's support
-    has more than ``cap`` walks, which is the cue to fall back to Monte
-    Carlo.  ``evaluate`` returns (u_d, u_a) with the same semantics as
-    ``evaluate_exact`` with truncation folded into the drop outcome.
+    Compiling fails fast with a TruncationError when the adversary's support
+    has more than ``cap`` walks; the error reports the walk mass not yet
+    enumerated.  ``evaluate`` returns (u_d, u_a) with the same semantics as
+    ``evaluate_exact`` with truncation folded into the drop outcome.  On
+    acyclic support it is an independent check of ``AbsorbingChain``.
     """
 
     def __init__(self, graph, adversary, max_len=None, cap=10_000):
@@ -632,7 +646,9 @@ class CompiledPaths:
             if walk.end == "truncated":
                 self.truncated_mass += walk.prob
             if len(self.walks) > cap:
-                raise TruncationError(float("nan"), float("nan"), max_len or default_max_len(graph))
+                enumerated = math.fsum(w.prob for w in self.walks)
+                raise TruncationError(max(0.0, 1.0 - enumerated), 0.0,
+                                      max_len or default_max_len(graph), walk_cap=cap)
 
     def masses(self, detection: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
         m = self.graph.n_stages
@@ -655,6 +671,164 @@ class CompiledPaths:
         p_t, p_r = self.masses(defender.detection_vector(self.graph))
         tag, trap, rule = strategy_costs(self.graph, params, defender)
         return assemble_utilities(params, p_t, p_r, tag + trap + rule)
+
+
+# ---------------------------------------------------------------------------
+# absorbing-chain evaluation
+# ---------------------------------------------------------------------------
+
+
+class AbsorbingChain:
+    """The adversary's walk as an absorbing Markov chain over decision states.
+
+    Built once per adversary from the (node, stage) decision states reachable
+    from (s0, 1) under the strategy's support.  A move to node w is detected
+    with probability d[w], independently on every visit; a surviving move
+    lands in the next decision state or completes the attack.  Drop,
+    detection and completion absorb.  With Q the surviving moves between
+    states, the expected visit counts are N = e_start (I - Q)^-1, the
+    fundamental matrix of the absorbing chain (Kemeny & Snell, 1960), and
+    ``masses`` weighs every move by the visits to the state it leaves.  These
+    are the per-visit semantics of ``evaluate_exact`` and
+    ``evaluate_monte_carlo``, over an unbounded horizon.
+
+    A closed class of states that never drops or completes absorbs only by
+    detection.  When no move out of it can be detected (1 - d rounds to 1 at
+    every target), a walk that enters it stays forever and N diverges there.
+    Such a class lies within one stage and detects nothing, so it adds
+    nothing to p_t or p_r and is left out of the solve.  Only these classes
+    are checked per defender; every other state has a path to a drop or a
+    completion.
+    """
+
+    def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
+        graph = ensure_augmented(graph)
+        self.graph = graph
+        m = graph.n_stages
+        self.states = [(SOURCE, 1)]
+        index = {self.states[0]: 0}
+        frm, target, stage, new_stage, to, prob = [], [], [], [], [], []
+        succ: list[list[int]] = []  # state -> states it moves to
+        leaks: list[bool] = []  # state drops or completes with positive probability
+        k = 0
+        while k < len(self.states):
+            v, j = self.states[k]
+            succ.append([])
+            leaks.append(False)
+            for a, p in sorted(adversary.distribution(v, j).items()):
+                if p <= 0.0:
+                    continue
+                if a == DROP:
+                    leaks[k] = True
+                    continue
+                nxt = graph.advance(a, j)
+                if nxt > m:
+                    leaks[k] = True
+                    to.append(-1)
+                else:
+                    if (a, nxt) not in index:
+                        index[(a, nxt)] = len(self.states)
+                        self.states.append((a, nxt))
+                    to.append(index[(a, nxt)])
+                    succ[k].append(to[-1])
+                frm.append(k)
+                target.append(a)
+                stage.append(j)
+                new_stage.append(nxt)
+                prob.append(p)
+            k += 1
+        self._from = np.array(frm, dtype=np.intp)
+        self._target = np.array(target, dtype=np.intp)
+        self._stage_index = np.array(stage, dtype=np.intp) - 1
+        self._prob = np.array(prob, dtype=float)
+        to_arr = np.array(to, dtype=np.intp)
+        self._inner = to_arr >= 0
+        # entry (to, from) of (I - Q)^T, in row-major flat order
+        self._flat = to_arr[self._inner] * k + self._from[self._inner]
+        levels = np.arange(1, m + 1)
+        crossed = (levels >= self._stage_index[:, None] + 1) & (levels < np.array(new_stage)[:, None])
+        self._crossings = crossed.astype(float)
+        self._traps = [
+            (np.array(members, dtype=np.intp),
+             np.unique(self._target[np.isin(self._from, members)]))
+            for members in _closed_classes(succ, leaks)
+        ]
+
+    def masses(self, detection: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per-stage detection (p_t) and crossing (p_r) masses for ``detection``."""
+        k = len(self.states)
+        d = np.asarray(detection, dtype=float)
+        d_move = d[self._target]
+        survive = self._prob * (1.0 - d_move)
+        system = np.eye(k)
+        system.flat[self._flat] -= survive[self._inner]
+        start = np.zeros(k)
+        start[0] = 1.0
+        keep = np.ones(k, dtype=bool)
+        for members, targets in self._traps:
+            if np.all(1.0 - d[targets] == 1.0):
+                keep[members] = False
+        if keep.all():
+            visits = np.linalg.solve(system, start)
+        else:
+            visits = np.zeros(k)
+            visits[keep] = np.linalg.solve(system[np.ix_(keep, keep)], start[keep])
+        flow = visits[self._from] * self._prob
+        p_t = np.bincount(self._stage_index, weights=flow * d_move, minlength=self.graph.n_stages)
+        p_r = (flow * (1.0 - d_move)) @ self._crossings
+        return tuple(p_t.tolist()), tuple(p_r.tolist())
+
+    def evaluate(self, params: GameParams, defender: DefenderStrategy) -> tuple[float, float]:
+        p_t, p_r = self.masses(defender.detection_vector(self.graph))
+        tag, trap, rule = strategy_costs(self.graph, params, defender)
+        return assemble_utilities(params, p_t, p_r, tag + trap + rule)
+
+
+def _closed_classes(succ: list[list[int]], leaks: list[bool]) -> list[list[int]]:
+    """Strongly connected classes that no move leaves and no member leaks from.
+
+    Tarjan's algorithm, iterative so that long chains of states do not reach
+    the interpreter recursion limit.
+    """
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    classes = []
+    for root in range(len(succ)):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        on_stack.discard(members[-1])
+                    inside = set(members)
+                    if not any(leaks[u] for u in members) and all(
+                        w in inside for u in members for w in succ[u]
+                    ):
+                        classes.append(sorted(members))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +861,9 @@ def evaluate_monte_carlo(
     rng = np.random.default_rng(seed)
     d = defender.detection_vector(graph)
 
-    # per decision state: action targets and cumulative probabilities
+    # per decision state: action targets and cumulative probabilities; the
+    # last action takes every draw past the second-to-last bound, including
+    # draws that rounding leaves above the total
     targets: dict[int, np.ndarray] = {}
     cumprobs: dict[int, np.ndarray] = {}
     for (v, j), dist in adversary.moves.items():
@@ -695,7 +871,9 @@ def evaluate_monte_carlo(
         code = v * m + (j - 1)
         targets[code] = np.array([a for a, _ in acts], dtype=np.int64)
         cumprobs[code] = np.cumsum([p for _, p in acts])
+        cumprobs[code][-1:] = np.inf
 
+    sort_key = np.uint16 if (n + 1) * m <= 1 << 16 else np.int64  # numpy radix-sorts 16-bit keys
     adv_stage = np.zeros((n + 1, m + 2), dtype=np.int64)
     for v in range(n + 1):
         for j in range(1, m + 1):
@@ -720,16 +898,23 @@ def evaluate_monte_carlo(
         if active.size == 0:
             break
         codes = node[active] * m + (stage[active] - 1)
-        chosen = np.empty(active.size, dtype=np.int64)
-        for code in np.unique(codes):
-            sel = codes == code
+        # group the trials by state, in trial order within a state; the draws
+        # go to the states in ascending code order
+        order = np.argsort(codes.astype(sort_key), kind="stable")
+        grouped = codes[order]
+        bounds = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        u = rng.random(active.size)
+        picked = np.empty(active.size, dtype=np.int64)
+        for lo, hi in zip([0] + bounds, bounds + [active.size]):
+            code = int(grouped[lo])
             if code not in targets:
                 v, j = divmod(code, m)
                 raise ValidationError(
                     f"adversary strategy has no distribution for node {v} at stage {j + 1}"
                 )
-            u = rng.random(int(sel.sum()))
-            chosen[sel] = targets[code][np.searchsorted(cumprobs[code], u, side="right").clip(max=len(cumprobs[code]) - 1)]
+            picked[lo:hi] = targets[code][cumprobs[code].searchsorted(u[lo:hi], side="right")]
+        chosen = np.empty(active.size, dtype=np.int64)
+        chosen[order] = picked
         dropping = chosen == DROP
         drop_idx = active[dropping]
         alive[drop_idx] = False

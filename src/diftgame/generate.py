@@ -13,32 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenerationFailed, ValidationError
-from .ifg import InformationFlowGraph, entry_reachability, ensure_augmented, make_graph
-
-
-def _stage_arrivals(graph: InformationFlowGraph) -> set[tuple[int, int]]:
-    """(node, stage) arrival events reachable from the source, stage-respecting.
-
-    Cascading arrivals (overlapping destination sets) count for every stage
-    they cross.
-    """
-    graph = ensure_augmented(graph)
-    m = graph.n_stages
-    succ = graph.successors
-    seen = {(0, 1)}
-    arrivals: set[tuple[int, int]] = set()
-    stack = [(0, 1)]
-    while stack:
-        v, j = stack.pop()
-        for w in succ.get(v, ()):
-            nxt = graph.advance(w, j)
-            arrivals.add((w, j))
-            for s in range(j + 1, nxt):
-                arrivals.add((w, s))
-            if nxt <= m and (w, nxt) not in seen:
-                seen.add((w, nxt))
-                stack.append((w, nxt))
-    return arrivals
+from .ifg import InformationFlowGraph, entry_reachability, make_graph, stage_arrivals
 
 
 def staged_reachability_ok(graph: InformationFlowGraph) -> bool:
@@ -54,7 +29,7 @@ def staged_reachability_ok(graph: InformationFlowGraph) -> bool:
             rule_relevance=graph.rule_relevance,
             fractional_traffic=graph.fractional_traffic,
         )
-        arrivals = _stage_arrivals(sub)
+        arrivals = stage_arrivals(sub)
         for j, dests in enumerate(graph.stages, start=1):
             for d in dests:
                 if (d, j) not in arrivals:

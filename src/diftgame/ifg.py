@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 SOURCE = 0  # reserved id of the pseudo-source node
@@ -88,6 +90,21 @@ class InformationFlowGraph:
             for d in dest:
                 member.setdefault(d, []).append(j)
         return {d: tuple(js) for d, js in member.items()}
+
+    @cached_property
+    def rule_columns(self) -> np.ndarray:
+        """Defender-row column of each relevant rule, one row per node id 0..n.
+
+        Rule r sits in column 1 + r of a defender probability row.  Rows keep
+        the ``relevance`` order and are padded with column n + 2, one past the
+        last real column; row 0 (the pseudo-source) is all padding.
+        """
+        width = max((len(r) for r in self.rule_relevance), default=0)
+        table = np.full((self.n + 1, width), self.n + 2, dtype=np.intp)
+        for i, rules in enumerate(self.rule_relevance, start=1):
+            table[i, :len(rules)] = [1 + r for r in rules]
+        table.setflags(write=False)
+        return table
 
     def relevance(self, node: int) -> tuple[int, ...]:
         """Rule indices meaningful at ``node``; empty for the pseudo-source."""
@@ -396,3 +413,28 @@ def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ..
                     seen.add(w)
                     stack.append(w)
     return tuple(tuple(sorted(reached[i])) for i in range(1, graph.n + 1))
+
+
+def stage_arrivals(graph: InformationFlowGraph) -> set[tuple[int, int]]:
+    """All (node, stage) arrival events reachable from the source, stage-respecting.
+
+    An arrival that cascades through overlapping destination sets counts as
+    an arrival for every stage it crosses.
+    """
+    graph = ensure_augmented(graph)
+    m = graph.n_stages
+    succ = graph.successors
+    seen = {(SOURCE, 1)}
+    arrivals: set[tuple[int, int]] = set()
+    stack = [(SOURCE, 1)]
+    while stack:
+        v, j = stack.pop()
+        for w in succ.get(v, ()):
+            nxt = graph.advance(w, j)
+            arrivals.add((w, j))
+            for s in range(j + 1, nxt):
+                arrivals.add((w, s))
+            if nxt <= m and (w, nxt) not in seen:
+                seen.add((w, nxt))
+                stack.append((w, nxt))
+    return arrivals

@@ -14,6 +14,11 @@ deterministic 1/3).  The guarantees apply to the node-bundle ground set
 coverage plus modular costs; the finer per-component ground set is also
 supported but its detection components are complements, so it is not
 submodular and the pass is a heuristic there.
+
+Every set is scored exactly: the adversary's mixed strategy is compiled
+once into an absorbing Markov chain, and each evaluation is one linear
+solve, with detection drawn on every node visit and no bound on the walk
+length.
 """
 
 from __future__ import annotations
@@ -24,16 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError, Unreachable, ValidationError
+from .errors import Unreachable, ValidationError
 from .game import (
     DROP,
+    AbsorbingChain,
     AdversaryStrategy,
-    CompiledPaths,
     DefenderStrategy,
     GameParams,
-    evaluate_monte_carlo,
+    evaluate_monte_carlo,  # noqa: F401  unused here; the benchmark's tracer patches this binding
 )
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
+from .ifg import SOURCE, InformationFlowGraph, ensure_augmented, stage_arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -62,30 +67,6 @@ class AdversaryBestResponse:
             moves = {state: {DROP: 1.0} for state in strategy.moves}
             return AdversaryStrategy(moves)
         return AdversaryStrategy.pure_walk(graph, self.path)
-
-
-def _layered_reachable(graph: InformationFlowGraph) -> set[tuple[int, int]]:
-    """All (node, stage) arrival events reachable from the source.
-
-    An arrival that cascades through overlapping destination sets counts as
-    an arrival for every stage it crosses.
-    """
-    seen_states = {(SOURCE, 1)}
-    arrivals: set[tuple[int, int]] = set()
-    stack = [(SOURCE, 1)]
-    m = graph.n_stages
-    succ = graph.successors
-    while stack:
-        v, j = stack.pop()
-        for w in succ.get(v, ()):
-            nxt = graph.advance(w, j)
-            arrivals.add((w, j))
-            for s in range(j + 1, nxt):
-                arrivals.add((w, s))
-            if nxt <= m and (w, nxt) not in seen_states:
-                seen_states.add((w, nxt))
-                stack.append((w, nxt))
-    return arrivals
 
 
 def adversary_best_response(
@@ -142,7 +123,7 @@ def adversary_best_response(
             if nxt <= m and (w, nxt) not in settled:
                 heapq.heappush(heap, (arr_dist, arr_path, w, nxt))
 
-    arrivals = _layered_reachable(graph)
+    arrivals = stage_arrivals(graph)
     candidates = [
         (dest, j) for j, dests in enumerate(graph.stages, start=1) for dest in dests
         if (dest, j) in arrivals
@@ -229,9 +210,9 @@ def normalize_levels(graph: InformationFlowGraph, levels) -> tuple[int, ...]:
 class DefenderObjective:
     """f(V') = defender payoff of the strategy induced by a level subset.
 
-    Walk support is compiled once when it fits under ``path_cap``; otherwise
-    every evaluation falls back to a fixed-seed Monte Carlo estimate so that
-    f stays a deterministic function for the duration of one greedy run.
+    Exact: the adversary strategy is compiled once into an ``AbsorbingChain``
+    and every evaluation solves it for the induced detection vector, with
+    detection drawn on every node visit and no bound on the walk length.
     """
 
     def __init__(
@@ -241,24 +222,15 @@ class DefenderObjective:
         adversary: AdversaryStrategy,
         levels=1,
         scheme: str = "component",
-        max_len: int | None = None,
-        path_cap: int = 10_000,
-        mc_trials: int = 20_000,
-        mc_seed: int = 0,
     ):
         self.graph = ensure_augmented(graph)
         params.check_against(self.graph)
         self.params = params
-        self.adversary = adversary
         self.levels = normalize_levels(self.graph, levels)
         self.scheme = scheme
         self.ground = build_ground_set(self.graph, self.levels, scheme)
         self.n_evaluations = 0
-        self._mc = (mc_trials, mc_seed, max_len)
-        try:
-            self._compiled = CompiledPaths(self.graph, adversary, max_len, cap=path_cap)
-        except TruncationError:
-            self._compiled = None
+        self._chain = AbsorbingChain(self.graph, adversary)
 
     def strategy_for(self, selected) -> DefenderStrategy:
         probs = np.zeros((self.graph.n + 1, self.graph.n + 2))
@@ -273,15 +245,8 @@ class DefenderObjective:
 
     def value(self, selected) -> float:
         self.n_evaluations += 1
-        defender = self.strategy_for(selected)
-        if self._compiled is not None:
-            u_d, _ = self._compiled.evaluate(self.params, defender)
-            return u_d
-        trials, seed, max_len = self._mc
-        report = evaluate_monte_carlo(
-            self.graph, self.params, defender, self.adversary, trials, seed, max_len
-        )
-        return report.u_d
+        u_d, _ = self._chain.evaluate(self.params, self.strategy_for(selected))
+        return u_d
 
 
 def marginal_gain(objective: DefenderObjective, selected, element: int) -> float:
@@ -315,7 +280,6 @@ def defender_best_response_greedy(
     seed: int = 0,
     scheme: str = "component",
     objective: DefenderObjective | None = None,
-    **objective_kwargs,
 ) -> DiscretizedDefenderSet:
     """One double-greedy pass over the ground set, in ground-set index order.
 
@@ -329,7 +293,7 @@ def defender_best_response_greedy(
     if variant not in ("randomized", "deterministic"):
         raise ValidationError(f"unknown double-greedy variant {variant!r}")
     if objective is None:
-        objective = DefenderObjective(graph, params, adversary, levels, scheme, **objective_kwargs)
+        objective = DefenderObjective(graph, params, adversary, levels, scheme)
     rng = np.random.default_rng(seed)
     n = len(objective.ground)
     lower: set[int] = set()

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's solver code paths: the
 adversary-value oracle enumerates stage-respecting walks directly, the
 separator oracle enumerates node subsets, and the stationary-distribution
-oracle solves a dense linear system.
+oracle solves a dense linear system.  The kernel oracles are the former
+per-node, per-term and per-state loops that the vectorized kernels must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from diftgame import game, ifg
+from diftgame.errors import ValidationError
 from diftgame.ifg import SOURCE, ensure_augmented
 
 
@@ -226,6 +229,138 @@ def exhaustive_pure_defender_average(graph, params, defender, walk):
         total_d += weight * u_d
         total_a += weight * u_a
     return total_d, total_a
+
+
+def oracle_detection_vector(defender, graph):
+    """Per-node detection probability, one ``detection_prob`` call per node."""
+    d = np.zeros(graph.n + 1)
+    for i in range(1, graph.n + 1):
+        d[i] = game.detection_prob(i, defender, graph.relevance(i))
+    return d
+
+
+def oracle_strategy_costs(graph, params, defender):
+    """Tag, trap and rule cost terms as three term-by-term ``fsum`` calls."""
+    tag = math.fsum(
+        defender.probs[i, 0] * params.tag_cost(graph, i) for i in range(1, graph.n + 1)
+    )
+    trap = math.fsum(
+        defender.probs[i, 1] * params.trap_cost(graph, i) for i in range(1, graph.n + 1)
+    )
+    rule = math.fsum(
+        defender.probs[i, 1 + r] * params.gamma[r - 1]
+        for i in range(1, graph.n + 1)
+        for r in range(1, graph.n + 1)
+    )
+    return tag, trap, rule
+
+
+def oracle_monte_carlo(graph, params, defender, adversary, n_trials, seed, max_len=None):
+    """``evaluate_monte_carlo`` with one boolean mask and one draw per state code.
+
+    Each step masks the active trials once per distinct (node, stage) code,
+    in ascending code order, and draws that code's uniforms in trial order.
+    """
+    graph = ensure_augmented(graph)
+    if max_len is None:
+        max_len = game.default_max_len(graph)
+    m = graph.n_stages
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    d = oracle_detection_vector(defender, graph)
+    targets, cumprobs = {}, {}
+    for (v, j), dist in adversary.moves.items():
+        acts = sorted(dist.items())
+        code = v * m + (j - 1)
+        targets[code] = np.array([a for a, _ in acts], dtype=np.int64)
+        cumprobs[code] = np.cumsum([p for _, p in acts])
+    adv_stage = np.zeros((n + 1, m + 2), dtype=np.int64)
+    for v in range(n + 1):
+        for j in range(1, m + 1):
+            adv_stage[v, j] = graph.advance(v, j)
+    ba_prefix = np.concatenate(([0.0], np.cumsum(params.beta_a)))
+    bd_prefix = np.concatenate(([0.0], np.cumsum(params.beta_d)))
+    node = np.zeros(n_trials, dtype=np.int64)
+    stage = np.ones(n_trials, dtype=np.int64)
+    alive = np.ones(n_trials, dtype=bool)
+    u_a = np.zeros(n_trials)
+    u_d_path = np.zeros(n_trials)
+    crossed = np.zeros(n_trials, dtype=np.int64)
+    pt_counts = np.zeros(m, dtype=np.int64)
+    pr_diff = np.zeros(m + 2, dtype=np.int64)
+    n_detected = n_completed = 0
+    dropped_after = np.zeros(m + 1, dtype=np.int64)
+    for _ in range(max_len):
+        active = np.flatnonzero(alive)
+        if active.size == 0:
+            break
+        codes = node[active] * m + (stage[active] - 1)
+        chosen = np.empty(active.size, dtype=np.int64)
+        for code in np.unique(codes):
+            sel = codes == code
+            if code not in targets:
+                v, j = divmod(code, m)
+                raise ValidationError(
+                    f"adversary strategy has no distribution for node {v} at stage {j + 1}"
+                )
+            u = rng.random(int(sel.sum()))
+            idx = np.searchsorted(cumprobs[code], u, side="right").clip(max=len(cumprobs[code]) - 1)
+            chosen[sel] = targets[code][idx]
+        dropping = chosen == game.DROP
+        drop_idx = active[dropping]
+        alive[drop_idx] = False
+        np.add.at(dropped_after, crossed[drop_idx], 1)
+        movers = active[~dropping]
+        to = chosen[~dropping]
+        if movers.size == 0:
+            continue
+        caught = rng.random(movers.size) < d[to]
+        det_idx = movers[caught]
+        if det_idx.size:
+            np.add.at(pt_counts, stage[det_idx] - 1, 1)
+            u_a[det_idx] += params.alpha_a
+            u_d_path[det_idx] += params.alpha_d
+            alive[det_idx] = False
+            n_detected += det_idx.size
+        surv = movers[~caught]
+        to_s = to[~caught]
+        if surv.size == 0:
+            continue
+        old_stage = stage[surv]
+        new_stage = adv_stage[to_s, old_stage]
+        u_a[surv] += ba_prefix[new_stage - 1] - ba_prefix[old_stage - 1]
+        u_d_path[surv] += bd_prefix[new_stage - 1] - bd_prefix[old_stage - 1]
+        np.add.at(pr_diff, old_stage, 1)
+        np.add.at(pr_diff, new_stage, -1)
+        crossed[surv] += new_stage - old_stage
+        node[surv] = to_s
+        stage[surv] = new_stage
+        done_idx = surv[new_stage > m]
+        alive[done_idx] = False
+        n_completed += done_idx.size
+    trunc_idx = np.flatnonzero(alive)
+    n_truncated = int(trunc_idx.size)
+    np.add.at(dropped_after, crossed[trunc_idx], 1)
+    pr_counts = np.cumsum(pr_diff)[1 : m + 1]
+    tag, trap, rule = oracle_strategy_costs(graph, params, defender)
+    u_d = u_d_path + (tag + trap + rule)
+    ddof = 1 if n_trials > 1 else 0
+    return game.UtilityReport(
+        u_d=float(u_d.mean()), u_a=float(u_a.mean()),
+        p_t=tuple(float(c) / n_trials for c in pt_counts),
+        p_r=tuple(float(c) / n_trials for c in pr_counts),
+        tag_cost=tag, trap_cost=trap, rule_cost=rule,
+        method="monte_carlo", n_trials=n_trials, seed=seed,
+        std_err_d=float(u_d.std(ddof=ddof) / math.sqrt(n_trials)),
+        std_err_a=float(u_a.std(ddof=ddof) / math.sqrt(n_trials)),
+        truncated_mass=n_truncated / n_trials,
+        outcome_counts={
+            "detected": n_detected,
+            "completed": n_completed,
+            "dropped_after": dropped_after.tolist(),
+            "truncated": n_truncated,
+        },
+    )
 
 
 @pytest.fixture

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from diftgame import game, ifg
+from diftgame import game, generate, ifg
 from diftgame.errors import InvalidPath, TruncationError, ValidationError
 from diftgame.game import DROP
 
-from conftest import exhaustive_pure_defender_average, random_dag_instance, random_params
+from conftest import (
+    exhaustive_pure_defender_average,
+    oracle_detection_vector,
+    oracle_monte_carlo,
+    oracle_strategy_costs,
+    random_dag_instance,
+    random_params,
+)
 
 
 def chain_instance(n=3, relevance=None):
@@ -389,3 +396,176 @@ def test_adversary_strategy_validation_rejects_non_neighbors():
     adv = game.AdversaryStrategy({(1, 1): {3: 1.0}})
     with pytest.raises(ValidationError):
         adv.validate(g)
+
+
+# ---------------------------------------------------------------------------
+# absorbing chain
+# ---------------------------------------------------------------------------
+
+
+def test_absorbing_chain_matches_compiled_walks_on_dags(rng):
+    for n in range(6, 17):
+        g = random_dag_instance(rng, n=n, m_max=3)
+        p = random_params(rng, g.n, g.n_stages)
+        d = game.DefenderStrategy.random(g, rng)
+        adv = game.AdversaryStrategy.random(g, rng)
+        chain = game.AbsorbingChain(g, adv)
+        compiled = game.CompiledPaths(g, adv)
+        detection = d.detection_vector(g)
+        for got, want in zip(chain.masses(detection), compiled.masses(detection)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        for got, want in zip(chain.evaluate(p, d), compiled.evaluate(p, d)):
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_absorbing_chain_matches_monte_carlo_on_cyclic_graphs(n):
+    rng = np.random.default_rng(n)
+    g = generate.gen_graph(n, 3, 2, 2, 0.1, seed=n)
+    p = game.default_params(g)
+    d = game.DefenderStrategy.random(g, rng)
+    adv = game.AdversaryStrategy.random(g, rng)
+    u_d, u_a = game.AbsorbingChain(g, adv).evaluate(p, d)
+    mc = game.evaluate_monte_carlo(g, p, d, adv, n_trials=200_000, seed=n)
+    assert mc.truncated_mass == 0.0
+    assert abs(u_d - mc.u_d) <= 4 * mc.std_err_d
+    assert abs(u_a - mc.u_a) <= 4 * mc.std_err_a
+
+
+def trapped_instance(cycle_detection):
+    """Stage 1 ends at node 2, where the walk commits to the 2-3 cycle for good.
+
+    State (4, 1) moves only into the cycle, so it cannot reach absorption
+    either, yet its move crosses stage 1.
+    """
+    g = ifg.make_graph(5, [(1, 2), (1, 4), (4, 2), (2, 3), (3, 2), (3, 5)], [[2], [5]], [1],
+                       rule_relevance=[()] * 5)
+    p = random_params(np.random.default_rng(5), 5, 2)
+    adv = game.AdversaryStrategy({
+        (0, 1): {1: 0.8, DROP: 0.2},
+        (1, 1): {2: 0.5, 4: 0.5},
+        (4, 1): {2: 1.0},
+        (2, 2): {3: 1.0},
+        (3, 2): {2: 1.0},
+    })
+    probs = np.zeros((6, 7))
+    probs[1, :2] = (0.6, 0.5)  # d = 0.3
+    probs[4, :2] = (1.0, 0.5)  # d = 0.5
+    probs[3, :2] = (1.0, cycle_detection)
+    return g, p, game.DefenderStrategy(probs), adv
+
+
+ENTERS_CYCLE = 0.8 * 0.7 * 0.5 + 0.8 * 0.7 * 0.5 * 0.5  # directly, or through node 4
+
+
+def test_absorbing_chain_closed_zero_detection_cycle():
+    # the 2-3 cycle never drops, completes or detects: the walks that enter
+    # it keep their stage-1 crossing, and Monte Carlo truncates them
+    g, p, d, adv = trapped_instance(0.0)
+    chain = game.AbsorbingChain(g, adv)
+    p_t, p_r = chain.masses(d.detection_vector(g))
+    assert p_t == pytest.approx((0.8 * 0.3 + 0.8 * 0.7 * 0.5 * 0.5, 0.0), abs=1e-15)
+    assert p_r == pytest.approx((ENTERS_CYCLE, 0.0), abs=1e-15)
+    u_d, u_a = chain.evaluate(p, d)
+    assert math.isfinite(u_d) and math.isfinite(u_a)
+    trials = 200_000
+    mc = game.evaluate_monte_carlo(g, p, d, adv, n_trials=trials, seed=3, max_len=30)
+    assert mc.truncated_mass == pytest.approx(ENTERS_CYCLE, abs=0.01)
+    for got, want in zip(p_t + p_r, mc.p_t + mc.p_r):
+        assert abs(got - want) <= 4 * math.sqrt(got * (1 - got) / trials) + 1e-12
+    assert abs(u_d - mc.u_d) <= 4 * mc.std_err_d
+    assert abs(u_a - mc.u_a) <= 4 * mc.std_err_a
+
+
+def test_absorbing_chain_detecting_cycle_catches_every_entrant():
+    # over an unbounded horizon a cycle that detects at all detects everyone
+    # who enters it
+    g, _, d, adv = trapped_instance(0.01)
+    p_t, p_r = game.AbsorbingChain(g, adv).masses(d.detection_vector(g))
+    assert p_t[1] == pytest.approx(ENTERS_CYCLE, rel=1e-9)
+    assert p_r == pytest.approx((ENTERS_CYCLE, 0.0), abs=1e-15)
+
+
+def test_absorbing_chain_missing_state_raises():
+    g = chain_instance()
+    with pytest.raises(ValidationError, match="node 1 at stage 1"):
+        game.AbsorbingChain(g, game.AdversaryStrategy({(0, 1): {1: 1.0}}))
+
+
+def test_compiled_paths_cap_error_reports_unenumerated_mass():
+    rng = np.random.default_rng(30)
+    g = generate.gen_graph(30, 3, 2, 2, 0.1, seed=30)
+    adv = game.AdversaryStrategy.random(g, rng)
+    with pytest.raises(TruncationError) as info:
+        game.CompiledPaths(g, adv, cap=500)
+    err = info.value
+    assert "nan" not in str(err)
+    assert err.walk_cap == 500
+    assert 0.0 < err.residual < 1.0
+    assert f"{err.residual:.3e}" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernels: bit-identical to the per-node, per-term, per-state loops
+# ---------------------------------------------------------------------------
+
+
+def kernel_graphs(rng):
+    yield chain_instance(4, relevance=[(), (1,), (1, 2), ()])
+    yield ifg.make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [[3], [5]], [1])  # all rules everywhere
+    yield random_dag_instance(rng, n_max=8, m_max=3)
+    yield generate.gen_graph(30, 3, 2, 2, 0.1, seed=4)
+
+
+def sparse_defender(graph, rng):
+    probs = game.DefenderStrategy.random(graph, rng).probs.copy()
+    probs[rng.random(probs.shape) < 0.7] = 0.0
+    return game.DefenderStrategy(probs)
+
+
+def test_detection_vector_matches_per_node_products(rng):
+    for g in kernel_graphs(rng):
+        for graph in (g, ifg.ensure_augmented(g)):
+            for d in (game.DefenderStrategy.random(g, rng), sparse_defender(g, rng),
+                      game.DefenderStrategy.full(g, 1.0)):
+                got = d.detection_vector(graph)
+                assert got.tobytes() == oracle_detection_vector(d, graph).tobytes()
+
+
+def test_strategy_costs_match_termwise_fsum(rng):
+    for g in kernel_graphs(rng):
+        p = random_params(rng, g.n, g.n_stages)
+        for d in (game.DefenderStrategy.random(g, rng), sparse_defender(g, rng)):
+            got = game.strategy_costs(g, p, d)
+            want = oracle_strategy_costs(g, p, d)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        zero = game.strategy_costs(g, p, game.DefenderStrategy.zeros(g))
+        assert [math.copysign(1.0, x) for x in zero] == [1.0, 1.0, 1.0]  # +0.0, as fsum gives
+
+
+def test_monte_carlo_reproduces_per_state_loop(rng):
+    cyclic = generate.gen_graph(30, 3, 2, 2, 0.1, seed=6)
+    cases = [(g, None) for g in kernel_graphs(rng)] + [(cyclic, 4)]  # the last run truncates
+    for seed, (g, max_len) in enumerate(cases):
+        p = random_params(rng, g.n, g.n_stages)
+        d = game.DefenderStrategy.random(g, rng)
+        adv = game.AdversaryStrategy.random(g, rng)
+        got = game.evaluate_monte_carlo(g, p, d, adv, 5_000, seed, max_len)
+        want = oracle_monte_carlo(g, p, d, adv, 5_000, seed, max_len)
+        assert got.csv_row() == want.csv_row()
+        assert got.outcome_counts == want.outcome_counts
+    assert want.truncated_mass > 0.0
+
+
+def test_monte_carlo_missing_state_error_matches_per_state_loop():
+    # both entries lack a distribution; the error names the smaller state code
+    g = ifg.make_graph(3, [(1, 3), (2, 3)], [[3]], [1, 2], rule_relevance=[()] * 3)
+    p = game.default_params(g)
+    adv = game.AdversaryStrategy({(0, 1): {1: 0.5, 2: 0.5}})
+    d = game.DefenderStrategy.zeros(g)
+    messages = []
+    for evaluate in (game.evaluate_monte_carlo, oracle_monte_carlo):
+        with pytest.raises(ValidationError) as info:
+            evaluate(g, p, d, adv, 100, 0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "adversary strategy has no distribution for node 1 at stage 1"

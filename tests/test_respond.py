@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diftgame import game, ifg, respond
+from diftgame import game, generate, ifg, respond
 from diftgame.errors import Unreachable, ValidationError
 from diftgame.game import DROP
 
@@ -309,6 +309,27 @@ def test_greedy_value_matches_reevaluation(rng):
     res = respond.defender_best_response_greedy(g, p, adv, levels=2)
     rep = game.evaluate_exact(g, p, res.strategy, adv)
     assert res.value == pytest.approx(rep.u_d, abs=1e-9)
+
+
+def test_objective_is_exact_on_cyclic_support(monkeypatch):
+    # a random strategy on a cyclic graph has far too many walks to
+    # enumerate; the objective still never samples
+    rng = np.random.default_rng(2)
+    g = generate.gen_graph(30, 4, 2, 3, 0.08, seed=2)
+    p = game.default_params(g)
+    adv = game.AdversaryStrategy.random(g, rng)
+    sample = game.evaluate_monte_carlo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the defender objective sampled")
+
+    monkeypatch.setattr(game, "evaluate_monte_carlo", refuse)
+    monkeypatch.setattr(respond, "evaluate_monte_carlo", refuse)
+    res = respond.defender_best_response_greedy(g, p, adv, levels=1)
+    u_d, _ = game.AbsorbingChain(g, adv).evaluate(p, res.strategy)
+    assert res.value == pytest.approx(u_d, rel=1e-12, abs=1e-9)
+    mc = sample(g, p, res.strategy, adv, n_trials=100_000, seed=11)
+    assert abs(res.value - mc.u_d) <= 4 * mc.std_err_d
 
 
 def test_levels_validation():
