@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Evaluate a strategy pair three ways and watch the estimates agree.
 
-The exact evaluator enumerates every positive-probability walk; the Monte
-Carlo evaluator samples seeded rollouts; the pure-profile evaluator scores a
-single committed 0/1 defense against a fixed walk.
+The exact evaluator solves the adversary's walk as an absorbing Markov
+chain; the Monte Carlo evaluator samples seeded rollouts; the pure-profile
+evaluator scores a single committed 0/1 defense against a fixed walk.
 """
+
+import math
 
 import numpy as np
 
@@ -45,10 +47,13 @@ for walk in [(0, 1, 2, 4), (0, 1, 3, 4)]:
     u_d, u_a = game.evaluate_pure_profile(graph, params, bits, walk)
     print(f"pure profile on walk {walk}: U_D = {u_d:.2f}  U_A = {u_a:.2f}")
 
-# Every enumerated walk carries its survival factors and stage masses.
-print("\nfirst three path outcomes:")
-for i, out in enumerate(game.enumerate_paths(graph, params, defender, adversary)):
-    print(f"  nodes {out.nodes} end={out.end} pi={out.selection_prob:.4f} "
-          f"detect={out.detection_prob:.4f} reach={tuple(round(r, 4) for r in out.reach_probs)}")
+# Walk enumeration lists the adversary's walks one by one, each with the
+# probability that selects it; survival multiplies 1 - d over its arrivals.
+detection = defender.detection_vector(graph)
+print("\nfirst three walks:")
+for i, walk in enumerate(game.iter_walks(graph, adversary)):
+    survival = math.prod(1.0 - detection[v] for v in walk.nodes[1:])
+    print(f"  nodes {walk.nodes} end={walk.end} pi={walk.prob:.4f} "
+          f"detect={1.0 - survival:.4f} crossings={walk.crossings}")
     if i == 2:
         break

@@ -12,7 +12,7 @@ graph = generate.gen_graph(n_nodes=30, n_stages=4, n_dest_per_stage=(2, 2, 2, 2)
                            n_entries=1, edge_density=0.08, seed=2026)
 params = game.default_params(graph)
 
-roster = learn.build_roster(graph)
+roster = learn.PlayerRoster(graph)
 kinds = {}
 for player in roster.players:
     kinds[player.kind] = kinds.get(player.kind, 0) + 1

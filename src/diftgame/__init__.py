@@ -4,8 +4,9 @@ multi-stage attacks on an information flow graph.
 Submodules:
 
 * ``ifg``          - graph data model, validation, augmentation, file I/O
-* ``game``         - strategies, parameters, absorbing-chain / walk-enumeration /
-                     Monte Carlo / pure-profile payoff evaluation
+* ``game``         - strategies, parameters, exact absorbing-chain / Monte
+                     Carlo / pure-profile payoff evaluation, and walk
+                     enumeration as the exact evaluator's reference
 * ``respond``      - adversary shortest-path best response, defender
                      discretized submodular (double-greedy) best response
 * ``single_stage`` - exact single-stage equilibrium: flow network, min-cut,

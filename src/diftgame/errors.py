@@ -27,26 +27,17 @@ class ParseError(DiftGameError):
 
 
 class TruncationError(DiftGameError):
-    """Walk enumeration left more walk mass unresolved than it may.
+    """``CompiledPaths`` found more than ``walk_cap`` walks in the adversary's support.
 
-    Exact evaluation raises it when the walk mass still alive at ``max_len``
-    moves exceeds ``eps``; ``CompiledPaths`` raises it when the adversary's
-    support has more than ``walk_cap`` walks, with ``residual`` the walk mass
-    not yet enumerated.
+    ``residual`` is the walk mass not yet enumerated when compiling stopped.
     """
 
-    def __init__(self, residual, eps, max_len, walk_cap=None):
+    def __init__(self, residual, walk_cap, max_len):
         self.residual = residual
-        self.eps = eps
-        self.max_len = max_len
         self.walk_cap = walk_cap
-        if walk_cap is None:
-            message = (f"residual walk mass {residual:.3e} exceeds eps_trunc={eps:.1e} "
-                       f"at max_len={max_len}; raise max_len or use the Monte Carlo estimator")
-        else:
-            message = (f"adversary support has more than {walk_cap} walks of at most "
-                       f"max_len={max_len} moves; walk mass {residual:.3e} is not enumerated")
-        super().__init__(message)
+        self.max_len = max_len
+        super().__init__(f"adversary support has more than {walk_cap} walks of at most "
+                         f"max_len={max_len} moves; walk mass {residual:.3e} is not enumerated")
 
 
 class InvalidPath(DiftGameError):

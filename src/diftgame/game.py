@@ -10,14 +10,11 @@ to advance.
 
 These evaluators share these semantics:
 
-* ``AbsorbingChain``       - the walk as an absorbing Markov chain over
-                             decision states; one linear solve per defender,
+* ``evaluate_exact``       - one ``AbsorbingChain`` solve: the walk as an
+                             absorbing Markov chain over decision states,
                              exact over an unbounded horizon, cyclic support
-                             included.
-* ``evaluate_exact``       - enumerates every positive-probability walk up to
-                             ``max_len`` moves (suitable for small or acyclic
-                             instances); ``CompiledPaths`` stores the walks
-                             for repeated evaluation.
+                             included; the chain is built once per adversary
+                             and solved once per defender.
 * ``evaluate_monte_carlo`` - seeded vectorized rollouts, with standard errors;
                              walks still alive after ``max_len`` moves count as
                              drops.
@@ -26,6 +23,9 @@ These evaluators share these semantics:
                              revisited unarmed node stays unarmed.
 
 All but the last draw detection independently on every node visit.
+``iter_walks`` and ``CompiledPaths`` enumerate the walks of the adversary's
+support up to ``max_len`` moves; they are the independent reference that
+the chain is tested against on small or acyclic instances.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def load_strategy(path):
 
 
 # ---------------------------------------------------------------------------
-# walk enumeration and exact evaluation
+# walk enumeration and payoff reports
 # ---------------------------------------------------------------------------
 
 
@@ -457,49 +457,6 @@ def iter_walks(
 
 
 @dataclass(frozen=True)
-class PathOutcome:
-    """A walk combined with a defender: survival factors and stage masses."""
-
-    nodes: tuple[int, ...]
-    arrival_stages: tuple[int, ...]
-    survival_probs: tuple[float, ...]  # per arrival, 1 - detection prob; 1.0 at s0
-    stage_hits: tuple[int, ...]  # stages crossed, in order
-    reach_probs: tuple[float, ...]  # per stage 1..M: survival at the crossing, else 0
-    detection_prob: float  # 1 - product of survival factors
-    selection_prob: float
-    end: str
-
-
-def enumerate_paths(
-    graph: InformationFlowGraph,
-    params: GameParams,
-    defender: DefenderStrategy,
-    adversary: AdversaryStrategy,
-    max_len: int | None = None,
-) -> Iterator[PathOutcome]:
-    graph = ensure_augmented(graph)
-    params.check_against(graph)
-    d = defender.detection_vector(graph)
-    m = graph.n_stages
-    for walk in iter_walks(graph, adversary, max_len):
-        survival = [1.0] + [1.0 - d[v] for v in walk.nodes[1:]]
-        prefix = np.cumprod(survival)
-        reach = [0.0] * m
-        for idx, s in walk.crossings:
-            reach[s - 1] = float(prefix[idx])
-        yield PathOutcome(
-            nodes=walk.nodes,
-            arrival_stages=walk.arrival_stages,
-            survival_probs=tuple(survival),
-            stage_hits=tuple(s for _, s in walk.crossings),
-            reach_probs=tuple(reach),
-            detection_prob=float(1.0 - prefix[-1]),
-            selection_prob=walk.prob,
-            end=walk.end,
-        )
-
-
-@dataclass(frozen=True)
 class UtilityReport:
     """Evaluated payoffs plus the per-stage detection/reach masses.
 
@@ -580,60 +537,15 @@ def assemble_utilities(
     return u_d, u_a
 
 
-def evaluate_exact(
-    graph: InformationFlowGraph,
-    params: GameParams,
-    defender: DefenderStrategy,
-    adversary: AdversaryStrategy,
-    max_len: int | None = None,
-    eps_trunc: float = 1e-9,
-    on_truncation: str = "error",
-) -> UtilityReport:
-    """Aggregate detection/reach masses over all walks up to ``max_len`` moves.
-
-    Raises TruncationError when the walk mass still alive at the bound
-    exceeds ``eps_trunc`` (pass ``on_truncation="drop"`` to fold that mass
-    into the drop outcome instead).
-    """
-    graph = ensure_augmented(graph)
-    params.check_against(graph)
-    m = graph.n_stages
-    pt_terms: list[list[float]] = [[] for _ in range(m)]
-    pr_terms: list[list[float]] = [[] for _ in range(m)]
-    truncated: list[float] = []
-    for out in enumerate_paths(graph, params, defender, adversary, max_len):
-        prefix = 1.0
-        for idx in range(1, len(out.nodes)):
-            s = out.survival_probs[idx]
-            pt_terms[out.arrival_stages[idx] - 1].append(out.selection_prob * prefix * (1.0 - s))
-            prefix *= s
-        for j, reach in enumerate(out.reach_probs):
-            if reach:
-                pr_terms[j].append(out.selection_prob * reach)
-        if out.end == "truncated":
-            truncated.append(out.selection_prob)
-    truncated_mass = math.fsum(truncated)
-    if truncated_mass > eps_trunc and on_truncation == "error":
-        raise TruncationError(truncated_mass, eps_trunc, max_len or default_max_len(graph))
-    p_t = tuple(math.fsum(terms) for terms in pt_terms)
-    p_r = tuple(math.fsum(terms) for terms in pr_terms)
-    tag, trap, rule = strategy_costs(graph, params, defender)
-    u_d, u_a = assemble_utilities(params, p_t, p_r, tag + trap + rule)
-    return UtilityReport(
-        u_d=u_d, u_a=u_a, p_t=p_t, p_r=p_r,
-        tag_cost=tag, trap_cost=trap, rule_cost=rule,
-        method="exact", truncated_mass=truncated_mass,
-    )
-
-
 class CompiledPaths:
     """A materialized walk set for repeated evaluation against many defenders.
 
     Compiling fails fast with a TruncationError when the adversary's support
     has more than ``cap`` walks; the error reports the walk mass not yet
-    enumerated.  ``evaluate`` returns (u_d, u_a) with the same semantics as
-    ``evaluate_exact`` with truncation folded into the drop outcome.  On
-    acyclic support it is an independent check of ``AbsorbingChain``.
+    enumerated.  ``evaluate`` returns (u_d, u_a) over the enumerated walks,
+    with walks truncated at ``max_len`` moves counted as drops.  It shares
+    no code with ``AbsorbingChain`` and is the reference the chain is tested
+    against; the two agree on acyclic support.
     """
 
     def __init__(self, graph, adversary, max_len=None, cap=10_000):
@@ -647,8 +559,8 @@ class CompiledPaths:
                 self.truncated_mass += walk.prob
             if len(self.walks) > cap:
                 enumerated = math.fsum(w.prob for w in self.walks)
-                raise TruncationError(max(0.0, 1.0 - enumerated), 0.0,
-                                      max_len or default_max_len(graph), walk_cap=cap)
+                raise TruncationError(max(0.0, 1.0 - enumerated), cap,
+                                      max_len or default_max_len(graph))
 
     def masses(self, detection: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
         m = self.graph.n_stages
@@ -689,7 +601,7 @@ class AbsorbingChain:
     states, the expected visit counts are N = e_start (I - Q)^-1, the
     fundamental matrix of the absorbing chain (Kemeny & Snell, 1960), and
     ``masses`` weighs every move by the visits to the state it leaves.  These
-    are the per-visit semantics of ``evaluate_exact`` and
+    are the per-visit semantics of ``CompiledPaths`` and
     ``evaluate_monte_carlo``, over an unbounded horizon.
 
     A closed class of states that never drops or completes absorbs only by
@@ -829,6 +741,27 @@ def _closed_classes(succ: list[list[int]], leaks: list[bool]) -> list[list[int]]
                     ):
                         classes.append(sorted(members))
     return classes
+
+
+def evaluate_exact(
+    graph: InformationFlowGraph,
+    params: GameParams,
+    defender: DefenderStrategy,
+    adversary: AdversaryStrategy,
+) -> UtilityReport:
+    """Payoffs and per-stage masses from one ``AbsorbingChain`` solve.
+
+    Exact over an unbounded horizon, cyclic support included.
+    """
+    graph = ensure_augmented(graph)
+    params.check_against(graph)
+    p_t, p_r = AbsorbingChain(graph, adversary).masses(defender.detection_vector(graph))
+    tag, trap, rule = strategy_costs(graph, params, defender)
+    u_d, u_a = assemble_utilities(params, p_t, p_r, tag + trap + rule)
+    return UtilityReport(
+        u_d=u_d, u_a=u_a, p_t=p_t, p_r=p_r,
+        tag_cost=tag, trap_cost=trap, rule_cost=rule, method="exact",
+    )
 
 
 # ---------------------------------------------------------------------------

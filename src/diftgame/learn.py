@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .game import DROP, AdversaryStrategy, DefenderStrategy, GameParams, evaluate_pure_profile
+from .game import DROP, AbsorbingChain, AdversaryStrategy, DefenderStrategy, GameParams
 from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
 
 ADVANCE = -2  # placeholder action of forced stage-transition players
@@ -44,6 +44,8 @@ class Player:
 
 class PlayerRoster:
     """Player decomposition of a game instance, with index maps.
+
+    (M+2)N + L + 1 players, L = total relevant (node, rule) pairs.
 
     Order: move players (node-major, then stage), the entry player, tag
     players 1..n, trap players 1..n, rule players sorted by (node, rule).
@@ -81,7 +83,6 @@ class PlayerRoster:
                 self.rule_index[(node, rule)] = len(players)
                 players.append(Player("rule", node, rule=rule, actions=(0, 1)))
         self.players = tuple(players)
-        self.n_rules_total = len(self.rule_index)
 
     def __len__(self) -> int:
         return len(self.players)
@@ -105,36 +106,6 @@ class PlayerRoster:
             for r in graph.relevance(node):
                 bits[node, 1 + r] = actions[self.rule_index[(node, r)]]
         return bits
-
-    def profile_walk(self, actions) -> tuple[int, ...]:
-        """The deterministic walk a pure profile plans, detection aside.
-
-        The walk ends at a drop action, at completion of the last stage, or
-        at the first revisited (node, stage) decision state (a committed
-        cycle never terminates, which is drop-equivalent).
-        """
-        graph = self.graph
-        m = graph.n_stages
-        entry = self.players[self.entry_index]
-        node = entry.actions[actions[self.entry_index]]
-        walk = [SOURCE, node]
-        stage = 1
-        seen = set()
-        while True:
-            stage = graph.advance(node, stage)
-            if stage > m:
-                break
-            state = (node, stage)
-            if state in seen:
-                break
-            seen.add(state)
-            player = self.players[self.move_index[state]]
-            act = player.actions[actions[self.move_index[state]]]
-            if act == DROP:
-                break
-            node = act
-            walk.append(node)
-        return tuple(walk)
 
     def defender_strategy(self, distributions) -> DefenderStrategy:
         graph = self.graph
@@ -160,11 +131,6 @@ class PlayerRoster:
                 a: float(p) for a, p in zip(player.actions, distributions[idx])
             }
         return AdversaryStrategy(moves)
-
-
-def build_roster(graph: InformationFlowGraph) -> PlayerRoster:
-    """Roster with (M+2)N + L + 1 players, L = total relevant (node, rule) pairs."""
-    return PlayerRoster(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +203,28 @@ def _softmax_pairs(g: np.ndarray, eta: float) -> np.ndarray:
 
 
 class _WalkInfo:
-    __slots__ = (
-        "arrivals", "pre_stages", "post_stages",
-        "rew_a_before", "rew_d_before", "rew_a_incl", "rew_d_incl",
-        "decisions", "decision_keys", "det_idx", "end",
-        "u_a", "u_d", "cost",
-    )
+    """A walk that a pure profile plans, with its payoffs.
+
+    ``moves[i]`` is the move player consulted at ``arrivals[i]``.  A detected
+    walk ends at its armed arrival, which consults no move player.  ``u_a``
+    and ``u_d`` leave out the defender's cost terms, which ``cost`` holds
+    for the realized walk only.
+    """
+
+    __slots__ = ("arrivals", "pre_stages", "moves", "detected", "u_a", "u_d", "cost")
 
 
 class _Rollout:
-    """Shared pure-profile evaluation with per-player counterfactuals."""
+    """Pure-profile payoffs of the player decomposition, with per-player counterfactuals.
+
+    Every walk, realized or counterfactual, comes from ``follow``.  Detection
+    bits are committed, so a walk ends at its first armed arrival; it also
+    ends at a drop, at completion of the last stage, or at its first
+    revisited (node, stage) decision state: a committed cycle never
+    terminates, which is drop-equivalent.  The stage rewards collected
+    before an arrival are the prefix sums ``ba``/``bd`` at the stage in
+    effect there.
+    """
 
     def __init__(self, roster: PlayerRoster, params: GameParams):
         graph = roster.graph
@@ -254,8 +232,7 @@ class _Rollout:
         self.roster = roster
         self.params = params
         self.graph = graph
-        m = graph.n_stages
-        self.m = m
+        self.m = m = graph.n_stages
         self.ba = np.concatenate(([0.0], np.cumsum(params.beta_a)))
         self.bd = np.concatenate(([0.0], np.cumsum(params.beta_d)))
         self.adv = np.zeros((graph.n + 1, m + 1), dtype=np.int64)
@@ -264,7 +241,6 @@ class _Rollout:
                 self.adv[v, j] = graph.advance(v, j)
         # defender block arrays
         d0 = roster.defender_start
-        self.def_slice = slice(d0, len(roster.players))
         cost = []
         for player in roster.players[d0:]:
             if player.kind == "tag":
@@ -274,7 +250,6 @@ class _Rollout:
             else:
                 cost.append(params.gamma[player.rule - 1])
         self.def_cost = np.array(cost)
-        self.def_node = np.array([p.node for p in roster.players[d0:]])
         self.def_players_at = {
             node: [i - d0 for i in roster.defender_players_at(node)]
             for node in range(1, graph.n + 1)
@@ -286,177 +261,110 @@ class _Rollout:
             armed[node] = bool(def_bits[self.def_players_at[node]].all())
         return armed
 
-    def walk_info(self, actions: np.ndarray, armed: np.ndarray, def_bits: np.ndarray) -> _WalkInfo:
-        roster = self.roster
-        graph = self.graph
-        m = self.m
-        info = _WalkInfo()
+    def follow(self, actions, armed, node: int, stage: int, seen: set[int]) -> _WalkInfo:
+        """The walk from an arrival at ``node`` in ``stage``, following the profile.
+
+        ``seen`` holds the move players already consulted on the walk; it is
+        extended in place.
+        """
+        roster, adv, m = self.roster, self.adv, self.m
         arrivals: list[int] = []
         pre: list[int] = []
-        post: list[int] = []
-        rab: list[float] = []
-        rdb: list[float] = []
-        rai: list[float] = []
-        rdi: list[float] = []
-        decisions: list[tuple[int, int]] = []  # (player index, arrival position)
-        keys: list[tuple[int, int]] = []
-        ba, bd, adv = self.ba, self.bd, self.adv
-        entry = roster.players[roster.entry_index]
-        node = entry.actions[actions[roster.entry_index]]
-        stage = 1
-        rew_a = rew_d = 0.0
-        seen: set[tuple[int, int]] = set()
-        end = "drop"
+        moves: list[int] = []
+        detected = False
         while True:
             arrivals.append(node)
             pre.append(stage)
-            rab.append(rew_a)
-            rdb.append(rew_d)
-            new_stage = int(adv[node, stage])
-            rew_a += ba[new_stage - 1] - ba[stage - 1]
-            rew_d += bd[new_stage - 1] - bd[stage - 1]
-            rai.append(rew_a)
-            rdi.append(rew_d)
-            post.append(new_stage)
-            if new_stage > m:
-                end = "complete"
+            if armed[node]:
+                detected = True
                 break
-            state = (node, new_stage)
-            if state in seen:
-                end = "cycle"
+            stage = int(adv[node, stage])
+            if stage > m:
                 break
-            seen.add(state)
-            idx = roster.move_index[state]
-            decisions.append((idx, len(arrivals) - 1))
-            keys.append(state)
+            idx = roster.move_index[(node, stage)]
+            if idx in seen:
+                break
+            seen.add(idx)
+            moves.append(idx)
             act = roster.players[idx].actions[actions[idx]]
             if act == DROP:
-                end = "drop"
                 break
             node = act
-            stage = new_stage
-
-        det_idx = None
-        for i, v in enumerate(arrivals):
-            if armed[v]:
-                det_idx = i
-                break
-        cost = float(def_bits @ self.def_cost)
-        if det_idx is None:
-            u_a = rai[-1]
-            u_d = rdi[-1] + cost
-        else:
-            u_a = rab[det_idx] + self.params.alpha_a
-            u_d = rdb[det_idx] + self.params.alpha_d + cost
-        info.arrivals = arrivals
-        info.pre_stages = pre
-        info.post_stages = post
-        info.rew_a_before = rab
-        info.rew_d_before = rdb
-        info.rew_a_incl = rai
-        info.rew_d_incl = rdi
-        info.decisions = decisions
-        info.decision_keys = keys
-        info.det_idx = det_idx
-        info.end = end
-        info.u_a = u_a
-        info.u_d = u_d
-        info.cost = cost
+        info = _WalkInfo()
+        info.arrivals, info.pre_stages, info.moves, info.detected = arrivals, pre, moves, detected
+        info.u_a, info.u_d = self.ba[stage - 1], self.bd[stage - 1]
+        if detected:
+            info.u_a += self.params.alpha_a
+            info.u_d += self.params.alpha_d
         return info
 
-    def _suffix_value(self, actions, armed, node, stage, seen, rew_a) -> float:
-        """Adversary continuation value from an arrival, following the profile."""
+    def walk_info(self, actions: np.ndarray, armed: np.ndarray, def_bits: np.ndarray) -> _WalkInfo:
+        """The realized walk; its ``u_d`` includes the defender's cost terms."""
         roster = self.roster
-        ba, adv, m = self.ba, self.adv, self.m
-        while True:
-            if armed[node]:
-                return rew_a + self.params.alpha_a
-            new_stage = int(adv[node, stage])
-            rew_a += ba[new_stage - 1] - ba[stage - 1]
-            if new_stage > m:
-                return rew_a
-            state = (node, new_stage)
-            if state in seen:
-                return rew_a
-            seen.add(state)
-            idx = roster.move_index[state]
-            act = roster.players[idx].actions[actions[idx]]
-            if act == DROP:
-                return rew_a
-            node = act
-            stage = new_stage
+        entry = roster.players[roster.entry_index]
+        info = self.follow(actions, armed, entry.actions[actions[roster.entry_index]], 1, set())
+        info.cost = float(def_bits @ self.def_cost)
+        info.u_d += info.cost
+        return info
 
-    def entry_utils(self, actions, armed, info: _WalkInfo) -> np.ndarray:
+    def adversary_utils(self, actions, armed, info: _WalkInfo) -> list[tuple[int, np.ndarray]]:
+        """Per-action adversary utility of every adversary player the walk executes.
+
+        These are the entry player and the move players the walk consults,
+        each with more than one action; every other adversary player's choice
+        leaves the outcome unchanged.
+        """
         roster = self.roster
-        player = roster.players[roster.entry_index]
-        realized = player.actions[actions[roster.entry_index]]
-        utils = np.empty(player.n_actions)
-        for a_idx, target in enumerate(player.actions):
-            if target == realized:
-                utils[a_idx] = info.u_a
-            else:
-                utils[a_idx] = self._suffix_value(actions, armed, target, 1, set(), 0.0)
-        return utils
+        # (player, stage its alternatives arrive in, move players consulted up to it)
+        choices = [(roster.entry_index, 1, 0)]
+        choices += [(idx, roster.players[idx].stage, k + 1) for k, idx in enumerate(info.moves)]
+        out = []
+        for idx, stage, n_seen in choices:
+            player = roster.players[idx]
+            if player.n_actions == 1:
+                continue
+            utils = np.empty(player.n_actions)
+            for a_idx, target in enumerate(player.actions):
+                if a_idx == actions[idx]:
+                    utils[a_idx] = info.u_a
+                elif target == DROP:
+                    utils[a_idx] = self.ba[stage - 1]
+                else:
+                    utils[a_idx] = self.follow(actions, armed, target, stage,
+                                               set(info.moves[:n_seen])).u_a
+            out.append((idx, utils))
+        return out
 
-    def move_utils(self, actions, armed, info: _WalkInfo, decision_ordinal: int) -> np.ndarray:
-        """Per-action adversary utility for the decision taken at one position."""
-        roster = self.roster
-        idx, pos = info.decisions[decision_ordinal]
-        player = roster.players[idx]
-        realized = player.actions[actions[idx]]
-        base = info.rew_a_incl[pos]
-        stage = info.post_stages[pos]
-        prefix_keys = info.decision_keys[: decision_ordinal + 1]
-        utils = np.empty(player.n_actions)
-        for a_idx, target in enumerate(player.actions):
-            if target == realized:
-                utils[a_idx] = info.u_a
-            elif target == DROP:
-                utils[a_idx] = base
-            else:
-                utils[a_idx] = self._suffix_value(
-                    actions, armed, target, stage, set(prefix_keys), base
-                )
-        return utils
-
-    def defender_utils(self, def_bits, armed, info: _WalkInfo) -> tuple[np.ndarray, np.ndarray]:
+    def defender_utils(self, actions, armed, info: _WalkInfo) -> tuple[np.ndarray, np.ndarray]:
         """Defender utility for bit 0 and bit 1, per defender player.
 
-        Flipping a bit shifts the cost term; the path outcome changes only
-        when the flip toggles the armed state of a node whose first visit is
-        not masked by an earlier detection.
+        Flipping a bit shifts the cost term; the walk's outcome changes only
+        when the flip toggles the armed state of a node it visits.
         """
+        def_bits = actions[self.roster.defender_start:]
         u0 = info.u_d - def_bits * self.def_cost
         u1 = u0 + self.def_cost
-        det = info.det_idx
         first_occ: dict[int, int] = {}
         for i, v in enumerate(info.arrivals):
-            if v not in first_occ:
-                first_occ[v] = i
-        alpha_d = self.params.alpha_d
+            first_occ.setdefault(v, i)
         for node, i0 in first_occ.items():
             members = self.def_players_at[node]
             bits = def_bits[members]
             n_set = int(bits.sum())
             k = len(members)
-            if n_set == k and det == i0:
-                # armed and detecting: any member's flip to 0 disarms the node,
-                # deferring detection to the next armed node on the walk
-                det2 = None
-                for i, v in enumerate(info.arrivals):
-                    if v != node and armed[v]:
-                        det2 = i
-                        break
-                if det2 is None:
-                    out = info.rew_d_incl[-1]
-                else:
-                    out = info.rew_d_before[det2] + alpha_d
+            if n_set == k:
+                # the detecting arrival: any member's flip to 0 disarms the
+                # node, and the walk goes on to the next armed node
+                disarmed = armed.copy()
+                disarmed[node] = False
+                out = self.follow(actions, disarmed, node, info.pre_stages[i0],
+                                  set(info.moves[:i0])).u_d
                 for local in members:
                     u0[local] = out + info.cost - self.def_cost[local]
-            elif n_set == k - 1 and (det is None or i0 < det):
+            elif n_set == k - 1:
                 # one bit short of armed: flipping that bit to 1 arms the node
                 # and pulls detection forward to this node's first visit
-                out = info.rew_d_before[i0] + alpha_d
+                out = self.bd[info.pre_stages[i0] - 1] + self.params.alpha_d
                 missing = members[int(np.flatnonzero(bits == 0)[0])]
                 u1[missing] = out + info.cost + self.def_cost[missing]
         return u0, u1
@@ -538,7 +446,7 @@ def run(
     mixture unchanged; the update is skipped outright.
     """
     cfg = config or LearnerConfig()
-    roster = build_roster(graph)
+    roster = PlayerRoster(graph)
     ctx = _Rollout(roster, params)
     rng = np.random.default_rng(cfg.seed)
     n_players = len(roster)
@@ -584,17 +492,7 @@ def run(
         gap = 0.0
 
         # adversary-side updates: entry plus effective walk decisions
-        touched: list[tuple[int, np.ndarray]] = []
-        entry_player = roster.players[roster.entry_index]
-        if entry_player.n_actions > 1:
-            touched.append((roster.entry_index, ctx.entry_utils(actions, armed, info)))
-        det = info.det_idx
-        for ordinal, (idx, pos) in enumerate(info.decisions):
-            if det is not None and pos >= det:
-                break  # decisions past the detection point never execute
-            if roster.players[idx].n_actions > 1:
-                touched.append((idx, ctx.move_utils(actions, armed, info, ordinal)))
-        for idx, utils in touched:
+        for idx, utils in ctx.adversary_utils(actions, armed, info):
             p = dist[idx]
             g = big_g[idx]
             base = float(p @ utils)
@@ -612,7 +510,7 @@ def run(
         # defender updates: for two actions the pair weights reduce to a
         # logistic in the cumulative utility difference, and the stationary
         # mixture is (delta10, delta01) itself
-        u0, u1 = ctx.defender_utils(def_bits, armed, info)
+        u0, u1 = ctx.defender_utils(actions, armed, info)
         g01 += u1
         g10 += u0
         new_p1 = 1.0 / (1.0 + np.exp(np.clip(-eta * (g01 - g10), -700.0, 700.0)))
@@ -656,8 +554,13 @@ def expected_swap_utility(
 ) -> float:
     """Reference expectation of a player's utility under a swapped mixture.
 
-    Evaluates sum_a p_swapped(a) * U(a, others) with the full pure-profile
-    evaluator; the learner's incremental bookkeeping must agree with this.
+    Evaluates sum_a p_swapped(a) * U(a, others), scoring each pure profile on
+    an ``AbsorbingChain`` of its one-hot mixtures; it shares no code with the
+    learner's rollout, whose incremental bookkeeping must agree with it.
+    The two semantics coincide on pure profiles: with 0/1 detection a node
+    detects on every visit or on none, so per-visit and committed detection
+    agree, and a committed cycle is a closed class that never detects, which
+    the chain leaves out just as the rollout ends the walk there.
     """
     graph = ensure_augmented(graph)
     target = roster.players[player]
@@ -670,9 +573,9 @@ def expected_swap_utility(
         if weight == 0.0:
             continue
         work[player] = a_idx
-        bits = roster.profile_bits(work)
-        walk = roster.profile_walk(work)
-        u_d, u_a = evaluate_pure_profile(graph, params, bits, walk)
+        onehot = [np.eye(pl.n_actions)[a] for pl, a in zip(roster.players, work)]
+        chain = AbsorbingChain(graph, roster.adversary_strategy(onehot))
+        u_d, u_a = chain.evaluate(params, roster.defender_strategy(onehot))
         total += weight * (u_a if target.kind in ("move", "entry") else u_d)
     return total
 
@@ -684,24 +587,12 @@ def _profile_gains(ctx: _Rollout, actions: np.ndarray):
     armed = ctx.armed_nodes(def_bits)
     info = ctx.walk_info(actions, armed, def_bits)
     out: list[tuple[int, int, int, float]] = []
-    entry_player = roster.players[roster.entry_index]
-    if entry_player.n_actions > 1:
-        utils = ctx.entry_utils(actions, armed, info)
-        r = int(actions[roster.entry_index])
-        for s in range(entry_player.n_actions):
+    for idx, utils in ctx.adversary_utils(actions, armed, info):
+        r = int(actions[idx])
+        for s in range(len(utils)):
             if s != r:
-                out.append((roster.entry_index, r, s, float(utils[s] - utils[r])))
-    det = info.det_idx
-    for ordinal, (idx, pos) in enumerate(info.decisions):
-        if det is not None and pos >= det:
-            break
-        if roster.players[idx].n_actions > 1:
-            utils = ctx.move_utils(actions, armed, info, ordinal)
-            r = int(actions[idx])
-            for s in range(roster.players[idx].n_actions):
-                if s != r:
-                    out.append((idx, r, s, float(utils[s] - utils[r])))
-    u0, u1 = ctx.defender_utils(def_bits, armed, info)
+                out.append((idx, r, s, float(utils[s] - utils[r])))
+    u0, u1 = ctx.defender_utils(actions, armed, info)
     diff = u1 - u0
     for local in range(roster.n_defenders):
         idx = roster.defender_start + local

@@ -231,16 +231,26 @@ class DefenderObjective:
         self.ground = build_ground_set(self.graph, self.levels, scheme)
         self.n_evaluations = 0
         self._chain = AbsorbingChain(self.graph, adversary)
+        # (element, row, column) of every cell a ground element raises by one
+        # level; a whole-node bundle raises the tag, trap and relevant rules
+        cells = np.array([
+            (idx, node, c - 1) for idx, (node, comp, _) in enumerate(self.ground)
+            for c in ([1, 2] + [2 + r for r in self.graph.relevance(node)] if comp == 0 else [comp])
+        ], dtype=np.intp).reshape(-1, 3)
+        self._cell_owner, self._cell_rows, self._cell_cols = cells.T
+        self._cell_step = 1.0 / np.array(self.levels, dtype=float)[self._cell_cols]
 
     def strategy_for(self, selected) -> DefenderStrategy:
+        """Every selected element adds one level step to each of its cells.
+
+        All adds to one cell are the same 1/levels constant, so the sums do
+        not depend on the order of the elements.
+        """
+        chosen = np.zeros(len(self.ground), dtype=bool)
+        chosen[list(selected)] = True
+        take = chosen[self._cell_owner]
         probs = np.zeros((self.graph.n + 1, self.graph.n + 2))
-        for idx in selected:
-            node, comp, _ = self.ground[idx]
-            if comp == 0:  # whole-node bundle
-                for c in [1, 2] + [2 + r for r in self.graph.relevance(node)]:
-                    probs[node, c - 1] += 1.0 / self.levels[c - 1]
-            else:
-                probs[node, comp - 1] += 1.0 / self.levels[comp - 1]
+        np.add.at(probs, (self._cell_rows[take], self._cell_cols[take]), self._cell_step[take])
         return DefenderStrategy(probs)
 
     def value(self, selected) -> float:

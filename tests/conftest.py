@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the library's solver code paths: the
 adversary-value oracle enumerates stage-respecting walks directly, the
-separator oracle enumerates node subsets, and the stationary-distribution
-oracle solves a dense linear system.  The kernel oracles are the former
-per-node, per-term and per-state loops that the vectorized kernels must
+separator oracle enumerates node subsets, the stationary-distribution
+oracle solves a dense linear system, the walk oracles score the walks of
+``game.iter_walks`` one by one, and the profile-walk oracle plans a pure
+profile's walk step by step.  The kernel oracles are the former per-node,
+per-term, per-state and per-element loops that the vectorized kernels must
 reproduce bit for bit.
 """
 
@@ -231,6 +233,72 @@ def exhaustive_pure_defender_average(graph, params, defender, walk):
     return total_d, total_a
 
 
+def walk_outcomes(graph, defender, adversary):
+    """Per-walk survival factors and stage masses over ``game.iter_walks``.
+
+    Yields (walk, survival, reach, detection_prob): ``survival`` has one
+    factor 1 - d per arrival (1.0 at s0), ``reach[j]`` is the survival up to
+    the crossing of stage j + 1 (0.0 when the walk does not cross it), and
+    ``detection_prob`` is one minus the product of the survival factors.
+    """
+    graph = ensure_augmented(graph)
+    d = defender.detection_vector(graph)
+    for walk in game.iter_walks(graph, adversary):
+        survival = [1.0] + [1.0 - d[v] for v in walk.nodes[1:]]
+        prefix = np.cumprod(survival)
+        reach = [0.0] * graph.n_stages
+        for idx, s in walk.crossings:
+            reach[s - 1] = float(prefix[idx])
+        yield walk, tuple(survival), tuple(reach), float(1.0 - prefix[-1])
+
+
+def per_walk_utilities(graph, params, defender, adversary):
+    """(u_d, u_a) accumulated walk by walk: detection and reach terms per walk."""
+    terms_a, terms_d = [], []
+    for walk, _, reach, detection in walk_outcomes(graph, defender, adversary):
+        w = walk.prob
+        terms_a.append(w * detection * params.alpha_a)
+        terms_d.append(w * detection * params.alpha_d)
+        for j, r in enumerate(reach):
+            terms_a.append(w * r * params.beta_a[j])
+            terms_d.append(w * r * params.beta_d[j])
+    tag, trap, rule = game.strategy_costs(graph, params, defender)
+    return math.fsum(terms_d) + tag + trap + rule, math.fsum(terms_a)
+
+
+def oracle_profile_walk(roster, actions):
+    """The deterministic walk a pure profile plans, detection aside.
+
+    The walk ends at a drop action, at completion of the last stage, or at
+    the first revisited (node, stage) decision state.
+    """
+    graph = roster.graph
+    entry = roster.players[roster.entry_index]
+    node = entry.actions[actions[roster.entry_index]]
+    walk = [SOURCE, node]
+    stage = 1
+    seen = set()
+    while True:
+        stage = graph.advance(node, stage)
+        if stage > graph.n_stages or (node, stage) in seen:
+            break
+        seen.add((node, stage))
+        idx = roster.move_index[(node, stage)]
+        act = roster.players[idx].actions[actions[idx]]
+        if act == game.DROP:
+            break
+        node = act
+        walk.append(node)
+    return tuple(walk)
+
+
+def oracle_profile_utilities(graph, params, roster, actions):
+    """(u_d, u_a) of a pure profile from its planned walk and its bits."""
+    return game.evaluate_pure_profile(
+        graph, params, roster.profile_bits(actions), oracle_profile_walk(roster, actions)
+    )
+
+
 def oracle_detection_vector(defender, graph):
     """Per-node detection probability, one ``detection_prob`` call per node."""
     d = np.zeros(graph.n + 1)
@@ -253,6 +321,20 @@ def oracle_strategy_costs(graph, params, defender):
         for r in range(1, graph.n + 1)
     )
     return tag, trap, rule
+
+
+def oracle_strategy_for(objective, selected):
+    """``DefenderObjective.strategy_for`` as one loop over the selected elements."""
+    graph = objective.graph
+    probs = np.zeros((graph.n + 1, graph.n + 2))
+    for idx in selected:
+        node, comp, _ = objective.ground[idx]
+        if comp == 0:  # whole-node bundle
+            for c in [1, 2] + [2 + r for r in graph.relevance(node)]:
+                probs[node, c - 1] += 1.0 / objective.levels[c - 1]
+        else:
+            probs[node, comp - 1] += 1.0 / objective.levels[comp - 1]
+    return game.DefenderStrategy(probs)
 
 
 def oracle_monte_carlo(graph, params, defender, adversary, n_trials, seed, max_len=None):

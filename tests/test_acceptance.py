@@ -17,6 +17,7 @@ from conftest import (
     oracle_power_iteration,
     oracle_separator_min_cost,
     oracle_stationary,
+    per_walk_utilities,
     random_dag_instance,
     random_params,
 )
@@ -244,16 +245,7 @@ def test_criterion_6_root_equivalence():
         d = game.DefenderStrategy.random(g, rng)
         adv = game.AdversaryStrategy.random(g, rng)
         rep = game.evaluate_exact(g, p, d, adv)
-        terms_a, terms_d = [], []
-        for out in game.enumerate_paths(g, p, d, adv):
-            w = out.selection_prob
-            terms_a.append(w * out.detection_prob * p.alpha_a)
-            terms_d.append(w * out.detection_prob * p.alpha_d)
-            for j, reach in enumerate(out.reach_probs):
-                terms_a.append(w * reach * p.beta_a[j])
-                terms_d.append(w * reach * p.beta_d[j])
-        u_a = math.fsum(terms_a)
-        u_d = math.fsum(terms_d) + rep.tag_cost + rep.trap_cost + rep.rule_cost
+        u_d, u_a = per_walk_utilities(g, p, d, adv)
         worst = max(worst, abs(u_a - rep.u_a), abs(u_d - rep.u_d))
         assert abs(u_a - rep.u_a) <= 1e-12
         assert abs(u_d - rep.u_d) <= 1e-12

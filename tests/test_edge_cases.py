@@ -1,6 +1,5 @@
 """Corner cases: overlapping destination sets, entries that are destinations,
-cyclic support under matched truncation semantics, deep walks, multi-entry
-learning."""
+cyclic support, deep walks, multi-entry learning."""
 
 import numpy as np
 import pytest
@@ -64,7 +63,8 @@ def test_entry_node_is_also_destination():
 
 
 def test_monte_carlo_matches_exact_on_cyclic_support(rng):
-    # same move bound and drop-fold semantics on both evaluators
+    # the chain has no move bound; Monte Carlo's 40 moves leave under 2e-6
+    # of the mass in the 1-2 loop
     g = ifg.make_graph(3, [(1, 2), (2, 1), (2, 3)], [[3]], [1],
                        rule_relevance=[(1,), (1,), (1,)])
     p = random_params(rng, 3, 1)
@@ -74,7 +74,7 @@ def test_monte_carlo_matches_exact_on_cyclic_support(rng):
         (1, 1): {2: 1.0},
         (2, 1): {1: 0.5, 3: 0.3, DROP: 0.2},
     })
-    exact = game.evaluate_exact(g, p, d, adv, max_len=40, on_truncation="drop")
+    exact = game.evaluate_exact(g, p, d, adv)
     mc = game.evaluate_monte_carlo(g, p, d, adv, n_trials=200_000, seed=17, max_len=40)
     assert abs(mc.u_a - exact.u_a) <= 4 * max(mc.std_err_a, 1e-9)
     assert abs(mc.u_d - exact.u_d) <= 4 * max(mc.std_err_d, 1e-9)

@@ -12,8 +12,10 @@ from conftest import (
     oracle_detection_vector,
     oracle_monte_carlo,
     oracle_strategy_costs,
+    per_walk_utilities,
     random_dag_instance,
     random_params,
+    walk_outcomes,
 )
 
 
@@ -134,6 +136,8 @@ def test_exact_matches_monte_carlo_on_diamond(rng):
 
 
 def test_exact_truncation_error_on_cyclic_strategy():
+    # walk enumeration truncates the 2->1 loop, and its walk cap reports the
+    # mass it has not enumerated; the chain needs no move bound
     g = ifg.make_graph(3, [(1, 2), (2, 1), (2, 3)], [[3]], [1], rule_relevance=[(), (), ()])
     p = game.default_params(g)
     d = game.DefenderStrategy.zeros(g)
@@ -143,21 +147,31 @@ def test_exact_truncation_error_on_cyclic_strategy():
         (2, 1): {1: 0.8, 3: 0.2},
     })
     looped.validate(g)
-    with pytest.raises(TruncationError):
-        game.evaluate_exact(g, p, d, looped, max_len=8)
-    rep = game.evaluate_exact(g, p, d, looped, max_len=8, on_truncation="drop")
     # 8 moves fit three 2->1 returns, so the unresolved walk mass is 0.8^3
-    assert rep.truncated_mass == pytest.approx(0.8**3, abs=1e-12)
+    compiled = game.CompiledPaths(g, looped, max_len=8)
+    assert compiled.truncated_mass == pytest.approx(0.8**3, abs=1e-12)
+    with pytest.raises(TruncationError) as info:
+        game.CompiledPaths(g, looped, cap=3)
+    # within the default 12 moves, depth first: the truncated walk, then the
+    # walks completing after 11, 9 and 7 moves; those after 5 and 3 remain
+    assert info.value.residual == pytest.approx(0.2 * 0.8 + 0.2, abs=1e-12)
+    rep = game.evaluate_exact(g, p, d, looped)
+    # every walk completes eventually: 0.2 * (1 + 0.8 + 0.8^2 + ...) = 1
+    assert rep.p_r == pytest.approx((1.0,), abs=1e-12)
+    assert rep.p_t == (0.0,)
+    assert rep.truncated_mass == 0.0
 
 
 def test_exact_self_loop_cycle_allowed_with_drop_fold():
     g = ifg.make_graph(2, [(1, 1), (1, 2)], [[2]], [1], rule_relevance=[(), ()])
     p = game.default_params(g)
     adv = game.AdversaryStrategy({(0, 1): {1: 1.0}, (1, 1): {1: 0.5, 2: 0.25, DROP: 0.25}})
-    rep = game.evaluate_exact(g, p, game.DefenderStrategy.zeros(g), adv,
-                              max_len=30, on_truncation="drop")
+    rep = game.evaluate_exact(g, p, game.DefenderStrategy.zeros(g), adv)
     # reach probability is the geometric sum 0.25 * (1 + 1/2 + 1/4 + ...) = 1/2
     assert rep.p_r[0] == pytest.approx(0.5, abs=1e-6)
+    # walk enumeration folds the loop's mass left at 30 moves into the drop
+    _, p_r = game.CompiledPaths(g, adv, max_len=30).masses(np.zeros(3))
+    assert p_r[0] == pytest.approx(0.5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +318,7 @@ def test_root_equivalence_aggregate_vs_per_path(rng):
         d = game.DefenderStrategy.random(g, rng)
         adv = game.AdversaryStrategy.random(g, rng)
         rep = game.evaluate_exact(g, p, d, adv)
-        terms_a, terms_d = [], []
-        for out in game.enumerate_paths(g, p, d, adv):
-            w = out.selection_prob
-            terms_a.append(w * out.detection_prob * p.alpha_a)
-            terms_d.append(w * out.detection_prob * p.alpha_d)
-            for j, reach in enumerate(out.reach_probs):
-                terms_a.append(w * reach * p.beta_a[j])
-                terms_d.append(w * reach * p.beta_d[j])
-        u_a = math.fsum(terms_a)
-        u_d = math.fsum(terms_d) + rep.tag_cost + rep.trap_cost + rep.rule_cost
+        u_d, u_a = per_walk_utilities(g, p, d, adv)
         assert abs(u_a - rep.u_a) <= 1e-12
         assert abs(u_d - rep.u_d) <= 1e-12
 
@@ -321,17 +326,16 @@ def test_root_equivalence_aggregate_vs_per_path(rng):
 def test_enumerated_paths_respect_stage_constraint(rng):
     for _ in range(10):
         g = random_dag_instance(rng, n_max=7, m_max=3)
-        p = random_params(rng, g.n, g.n_stages)
         d = game.DefenderStrategy.random(g, rng)
         adv = game.AdversaryStrategy.random(g, rng)
-        for out in game.enumerate_paths(g, p, d, adv):
-            assert list(out.stage_hits) == sorted(out.stage_hits)
-            if out.stage_hits:
-                assert list(out.stage_hits) == list(range(1, out.stage_hits[-1] + 1))
-            reach = [r for r in out.reach_probs if r > 0]
-            assert reach == sorted(reach, reverse=True)
-            surv = math.prod(out.survival_probs)
-            assert out.detection_prob + surv == pytest.approx(1.0, abs=1e-12)
+        for walk, survival, reach, detection in walk_outcomes(g, d, adv):
+            stage_hits = [s for _, s in walk.crossings]
+            assert stage_hits == sorted(stage_hits)
+            if stage_hits:
+                assert stage_hits == list(range(1, stage_hits[-1] + 1))
+            reached = [r for r in reach if r > 0]
+            assert reached == sorted(reached, reverse=True)
+            assert detection + math.prod(survival) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_raising_any_defender_probability_never_lowers_detection(rng):

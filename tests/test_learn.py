@@ -6,11 +6,13 @@ import pytest
 from diftgame import game, ifg, learn
 from diftgame.errors import NonConvergence, ValidationError
 from diftgame.game import DROP
-from diftgame.learn import ADVANCE, LearnerConfig, build_roster, fixed_point, swap_distribution
+from diftgame.learn import ADVANCE, LearnerConfig, PlayerRoster, fixed_point, swap_distribution
 
 from conftest import (
     oracle_power_iteration,
+    oracle_profile_utilities,
     oracle_stationary,
+    random_cyclic_instance,
     random_dag_instance,
     random_params,
     swap_chain,
@@ -26,7 +28,7 @@ def test_roster_count_formula_small():
     # N=3, M=2, one relevant rule per node: (M+2)N + L + 1 = 3*4 + 3 + 1 = 16
     g = ifg.make_graph(3, [(1, 2), (2, 3)], [[2], [3]], [1],
                        rule_relevance=[(1,), (1,), (1,)])
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     assert len(roster) == 16
 
 
@@ -34,7 +36,7 @@ def test_roster_count_rain_shape():
     from diftgame.generate import gen_graph
 
     g = gen_graph(30, 4, (2, 2, 2, 2), 1, 0.08, seed=7)
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     n_rules = sum(len(g.relevance(v)) for v in range(1, 31))
     assert len(roster) == (4 + 2) * 30 + n_rules + 1
     moves = [p for p in roster.players if p.kind == "move"]
@@ -44,7 +46,7 @@ def test_roster_count_rain_shape():
 
 def test_roster_action_spaces():
     g = ifg.make_graph(3, [(1, 2), (1, 3), (2, 3)], [[3]], [1], rule_relevance=[()] * 3)
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     move_1 = roster.players[roster.move_index[(1, 1)]]
     assert move_1.actions == (2, 3, DROP)  # two neighbors plus drop
     forced = roster.players[roster.move_index[(3, 1)]]
@@ -143,7 +145,7 @@ def test_fixed_point_rejects_bad_delta():
 def small_learning_instance(rng, n_max=5, m_max=2):
     g = random_dag_instance(rng, n_max=n_max, m_max=m_max)
     p = random_params(rng, g.n, g.n_stages)
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     profile = np.array([int(rng.integers(pl.n_actions)) for pl in roster.players])
     return g, p, roster, profile
 
@@ -158,9 +160,7 @@ def test_expected_swap_utility_degenerate_is_pure_utility(rng):
         point[a] = 1.0
         work = profile.copy()
         work[idx] = a
-        bits = roster.profile_bits(work)
-        walk = roster.profile_walk(work)
-        u_d, u_a = game.evaluate_pure_profile(g, p, bits, walk)
+        u_d, u_a = oracle_profile_utilities(g, p, roster, work)
         want = u_a if player.kind in ("move", "entry") else u_d
         got = learn.expected_swap_utility(roster, idx, point, profile, g, p)
         assert got == pytest.approx(want, abs=1e-12)
@@ -170,7 +170,7 @@ def test_expected_swap_utility_defender_off_path_is_flat(rng):
     # a defender component at an unreachable node changes only its own cost
     g = ifg.make_graph(3, [(1, 3)], [[3]], [1], rule_relevance=[(), (), ()])
     p = random_params(rng, 3, 1)
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     profile = np.zeros(len(roster), dtype=np.int64)
     idx = roster.tag_index[2]  # node 2 is off every walk
     for swapped in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
@@ -280,7 +280,7 @@ def test_run_two_action_update_is_swap_chain_fixed_point(rng):
         bits = actions[d0:].astype(np.float64)
         armed = ctx.armed_nodes(bits)
         info = ctx.walk_info(actions, armed, bits)
-        u0, u1 = ctx.defender_utils(bits, armed, info)
+        u0, u1 = ctx.defender_utils(actions, armed, info)
         g01 += u1
         g10 += u0
     for local in range(roster.n_defenders):
@@ -324,9 +324,7 @@ def test_run_underflowed_move_player_is_swap_chain_fixed_point():
 
 def test_adversary_players_share_utility_and_defenders_too(rng):
     g, p, roster, profile = small_learning_instance(rng)
-    bits = roster.profile_bits(profile)
-    walk = roster.profile_walk(profile)
-    u_d, u_a = game.evaluate_pure_profile(g, p, bits, walk)
+    u_d, u_a = oracle_profile_utilities(g, p, roster, profile)
     for idx, player in enumerate(roster.players):
         if player.n_actions < 2:
             continue
@@ -335,6 +333,38 @@ def test_adversary_players_share_utility_and_defenders_too(rng):
         u = learn.expected_swap_utility(roster, idx, point, profile, g, p)
         expected = u_a if player.kind in ("move", "entry") else u_d
         assert u == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dag", "cyclic"])
+def test_profile_gains_match_chain_reference(kind):
+    # every swap gain the rollout reports, and the zero gain of every player
+    # it skips, against the absorbing-chain reference; cyclic graphs give
+    # walks that revisit nodes and profiles that commit to cycles
+    rng = np.random.default_rng(13 if kind == "dag" else 14)
+    checked = 0
+    for _ in range(10):
+        if kind == "dag":
+            g = random_dag_instance(rng, n_max=7, m_max=3)
+        else:
+            g = random_cyclic_instance(rng, n_max=8, m=int(rng.integers(1, 3)), density=0.35)
+        p = random_params(rng, g.n, g.n_stages)
+        roster = PlayerRoster(g)
+        ctx = learn._Rollout(roster, p)
+        for _ in range(5):
+            profile = np.array([int(rng.integers(pl.n_actions)) for pl in roster.players])
+            gains = {(idx, s): gain for idx, _, s, gain in learn._profile_gains(ctx, profile)}
+            for idx, player in enumerate(roster.players):
+                if player.n_actions < 2:
+                    continue
+                utils = [learn.expected_swap_utility(roster, idx, np.eye(player.n_actions)[a],
+                                                     profile, g, p)
+                         for a in range(player.n_actions)]
+                r = profile[idx]
+                for s in range(player.n_actions):
+                    if s != r:
+                        assert abs(gains.get((idx, s), 0.0) - (utils[s] - utils[r])) <= 1e-9
+                        checked += (idx, s) in gains
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +452,7 @@ def test_run_matches_naive_reference_dynamics(rng):
     cfg = LearnerConfig(eta=0.03, eps=1e-12, max_iters=40, seed=21)
     fast = learn.run(g, p, cfg)
 
-    roster = build_roster(g)
+    roster = PlayerRoster(g)
     sampler = np.random.default_rng(cfg.seed)
     d0 = roster.defender_start
     dist = [np.full(pl.n_actions, 1.0 / pl.n_actions) for pl in roster.players]

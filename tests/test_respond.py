@@ -8,7 +8,7 @@ from diftgame import game, generate, ifg, respond
 from diftgame.errors import Unreachable, ValidationError
 from diftgame.game import DROP
 
-from conftest import oracle_best_path_value, random_dag_instance, random_params
+from conftest import oracle_best_path_value, oracle_strategy_for, random_dag_instance, random_params
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,23 @@ def test_greedy_value_matches_reevaluation(rng):
     res = respond.defender_best_response_greedy(g, p, adv, levels=2)
     rep = game.evaluate_exact(g, p, res.strategy, adv)
     assert res.value == pytest.approx(rep.u_d, abs=1e-9)
+
+
+def test_strategy_for_matches_per_element_loop(rng):
+    # levels that divide 1 inexactly, so repeated adds to one cell round
+    for g in (random_dag_instance(rng, n_max=6, m_max=2),
+              generate.gen_graph(30, 3, 2, 2, 0.1, seed=4)):
+        adv = game.AdversaryStrategy.random(g, rng)
+        per_component = tuple(int(z) for z in rng.integers(1, 8, size=g.n + 2))
+        for levels, scheme in ((1, "component"), (per_component, "component"),
+                               (3, "node"), (7, "node")):
+            objective = respond.DefenderObjective(g, game.default_params(g), adv, levels, scheme)
+            n = len(objective.ground)
+            subsets = [set(), set(range(n))]
+            subsets += [set(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.1, 0.5, 0.9)]
+            for selected in subsets:
+                got = objective.strategy_for(selected).probs
+                assert got.tobytes() == oracle_strategy_for(objective, selected).probs.tobytes()
 
 
 def test_objective_is_exact_on_cyclic_support(monkeypatch):
