@@ -46,10 +46,8 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
-    payload = {"command": command, "config": resolved, "outputs": sorted(outputs)}
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    ifg.write_json({"command": command, "config": resolved, "outputs": sorted(outputs)},
+                   out / "manifest.json")
 
 
 def load_params_file(path, graph: ifg.InformationFlowGraph) -> game.GameParams:
@@ -138,9 +136,7 @@ def _cmd_solve_single(args) -> int:
         "paths": {str(node): list(path) for node, path in sorted(eq.paths.items())},
         "weights": {str(node): eq.pi[node] for node in sorted(eq.pi)},
     }
-    with open(out / "adversary_mixture.json", "w", encoding="utf-8") as fh:
-        json.dump(mixture, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    ifg.write_json(mixture, out / "adversary_mixture.json")
     _write_manifest(out, "solve-single", {"graph": str(args.graph), "params": resolved},
                     ["defender.json", "adversary_mixture.json"])
     print(f"diagnostics: {eq.diagnostics}")
@@ -167,9 +163,7 @@ def _cmd_solve_multi(args) -> int:
         "final_gap": result.final_gap,
         "players": len(result.roster),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    ifg.write_json(summary, out / "summary.json")
     _write_manifest(out, "solve-multi", {
         "graph": str(args.graph), "params": resolved,
         "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters, "seed": args.seed,

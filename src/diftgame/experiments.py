@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .game import GameParams, evaluate_monte_carlo
 from .ifg import InformationFlowGraph
-from .learn import CorrelatedEquilibriumResult, LearnerConfig, run
+from .learn import LearnerConfig, run
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,10 @@ def sweep_cost(
     learner_config: LearnerConfig | None = None,
     sim_trials: int = 20_000,
     sim_seed: int = 0,
-    keep_runs: bool = False,
-) -> SweepResult | tuple[SweepResult, dict[float, CorrelatedEquilibriumResult]]:
+) -> SweepResult:
     """Learn and simulate at each cost scale factor; rows sorted by factor."""
     base = learner_config or LearnerConfig()
     rows = []
-    runs: dict[float, CorrelatedEquilibriumResult] = {}
     for factor in sorted(set(float(f) for f in factors)):
         scaled = params.scaled(factor)
         result = run(graph, scaled, base)
@@ -74,7 +72,4 @@ def sweep_cost(
                 u_a_stderr=report.std_err_a or 0.0,
             )
         )
-        if keep_runs:
-            runs[factor] = result
-    result = SweepResult(rows=tuple(rows))
-    return (result, runs) if keep_runs else result
+    return SweepResult(rows=tuple(rows))

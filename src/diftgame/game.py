@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidPath, ParseError, TruncationError, ValidationError
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
+from .ifg import SOURCE, InformationFlowGraph, ensure_augmented, write_json
 
 DROP = -1  # adversary action: terminate the flow
 
@@ -322,10 +322,7 @@ class AdversaryStrategy:
 
 
 def save_defender(strategy: DefenderStrategy, path) -> None:
-    payload = {"kind": "defender", "n": strategy.n, "probs": strategy.probs.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"kind": "defender", "n": strategy.n, "probs": strategy.probs.tolist()}, path)
 
 
 def save_adversary(strategy: AdversaryStrategy, path) -> None:
@@ -334,10 +331,7 @@ def save_adversary(strategy: AdversaryStrategy, path) -> None:
         moves.setdefault(str(v), {})[str(j)] = {
             ("drop" if a == DROP else str(a)): p for a, p in sorted(dist.items())
         }
-    payload = {"kind": "adversary", "moves": moves}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"kind": "adversary", "moves": moves}, path)
 
 
 def load_strategy(path):

@@ -76,13 +76,6 @@ class InformationFlowGraph:
         return {u: tuple(sorted(vs)) for u, vs in out.items()}
 
     @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {i: [] for i in range(0 if self.augmented else 1, self.n + 1)}
-        for u, v in self.edges:
-            inc[v].append(u)
-        return {v: tuple(sorted(us)) for v, us in inc.items()}
-
-    @cached_property
     def stage_membership(self) -> dict[int, tuple[int, ...]]:
         """Node id -> sorted stage indices (1-based) whose destination set contains it."""
         member: dict[int, list[int]] = {}
@@ -282,6 +275,11 @@ def save(graph: InformationFlowGraph, path) -> None:
         "fractional_traffic": graph.fractional_traffic,
         "augmented": graph.augmented,
     }
+    write_json(payload, path)
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as indented, key-sorted JSON ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

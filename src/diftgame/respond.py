@@ -63,9 +63,8 @@ class AdversaryBestResponse:
 
     def to_strategy(self, graph: InformationFlowGraph) -> AdversaryStrategy:
         if self.dropped:
-            strategy = AdversaryStrategy.uniform(graph)
-            moves = {state: {DROP: 1.0} for state in strategy.moves}
-            return AdversaryStrategy(moves)
+            states = AdversaryStrategy.decision_states(graph)
+            return AdversaryStrategy({state: {DROP: 1.0} for state in states})
         return AdversaryStrategy.pure_walk(graph, self.path)
 
 

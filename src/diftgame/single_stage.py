@@ -2,7 +2,9 @@
 
 For a one-stage attack the defender's equilibrium support is a minimum-cost
 node cut between the attack source and the destination set, where a node's
-cost is the magnitude of its combined tag+trap cost.  The equilibrium itself
+cost is the magnitude of its combined tag+trap cost.  The cut comes from an
+iterative Dinic max-flow on the node-split network, so it handles attack
+paths of any length.  The equilibrium itself
 comes from a small matrix game over the cut nodes: the adversary mixes over
 disjoint attack paths (one per cut node) so the defender is indifferent
 between detecting and not, and the defender's per-component probabilities
@@ -43,18 +45,6 @@ class FlowNetwork:
     capacities: tuple[float, ...]
     source: int
     sink: int
-
-    def split_arc(self, node: int) -> int:
-        """Index of the (s_i, s'_i) arc for a real node."""
-        return self._split_index[node]
-
-    @property
-    def _split_index(self) -> dict[int, int]:
-        idx = {}
-        for k, (u, v) in enumerate(self.arcs):
-            if 1 <= u <= self.n and v == u + self.n:
-                idx[u] = k
-        return idx
 
 
 def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowNetwork:
@@ -97,102 +87,91 @@ class MinCutResult:
     flow_value: float
 
 
-class _Dinic:
-    def __init__(self, n_vertices: int, tol: float = _CAP_TOL):
-        self.n = n_vertices
-        self.tol = tol
-        self.head: list[list[int]] = [[] for _ in range(n_vertices)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
+def _max_flow(network: FlowNetwork, tol: float) -> tuple[float, set[int]]:
+    """Dinic's max-flow; returns the flow value and the residual source side.
 
-    def add_arc(self, u: int, v: int, cap: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        return idx
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
+    Each phase builds BFS levels over arcs with residual capacity above
+    ``tol`` and then pushes augmenting walks along the level graph.  A walk is
+    an explicit stack of arc ids: on a dead end the last arc is dropped and
+    its tail's arc pointer advances.  The phase whose BFS misses the sink
+    leaves the residual source side as its reached set.
+    """
+    n_vertices = 2 * network.n + 2
+    source, sink = network.source, network.sink
+    head: list[list[int]] = [[] for _ in range(n_vertices)]
+    to: list[int] = []
+    cap: list[float] = []
+    for (u, v), c in zip(network.arcs, network.capacities):
+        head[u].append(len(to))  # arc e's reverse is e ^ 1
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0.0)
+    flow = 0.0
+    while True:
+        level = [-1] * n_vertices
+        level[source] = 0
+        queue = deque([source])
         while queue:
             u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > self.tol and level[v] < 0:
+            for e in head[u]:
+                v = to[e]
+                if cap[e] > tol and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _blocking(self, u: int, t: int, pushed: float, level, it) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > self.tol and level[v] == level[u] + 1:
-                got = self._blocking(v, t, min(pushed, self.cap[e]), level, it)
-                if got > 0.0:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0.0
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
+        if level[sink] < 0:
+            return flow, {v for v in range(n_vertices) if level[v] >= 0}
+        it = [0] * n_vertices
+        walk: list[int] = []
+        u = source
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._blocking(s, t, math.inf, level, it)
-                if pushed <= 0.0:
-                    break
+            if u == sink:
+                pushed = min(cap[e] for e in walk)
+                for e in walk:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
                 flow += pushed
-
-    def residual_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > self.tol and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+                walk.clear()
+                u = source
+                continue
+            arcs = head[u]
+            while it[u] < len(arcs):
+                e = arcs[it[u]]
+                if cap[e] > tol and level[to[e]] == level[u] + 1:
+                    walk.append(e)
+                    u = to[e]
+                    break
+                it[u] += 1
+            else:  # dead end: back up one arc and skip it
+                if not walk:
+                    break
+                u = to[walk.pop() ^ 1]
+                it[u] += 1
 
 
 def min_cut(network: FlowNetwork) -> MinCutResult:
-    """Dinic max-flow, then the source-side residual cut.
+    """Max-flow, then the split arcs leaving the residual source side.
 
-    Deterministic given the network's arc order.  When the sink is not
-    reachable at all the cut is empty with cost zero.  The saturation
-    tolerance scales with the largest finite capacity.
+    Deterministic given the network's arc order, and iterative, so path
+    length is bounded by memory rather than the recursion limit.  When the
+    sink is not reachable at all the cut is empty with cost zero.  The
+    saturation tolerance scales with the largest finite capacity.
     """
     finite = [c for c in network.capacities if math.isfinite(c)]
     tol = _CAP_TOL * max(1.0, max(finite, default=1.0))
-    dinic = _Dinic(2 * network.n + 2, tol=tol)
-    arc_ids = [dinic.add_arc(u, v, c) for (u, v), c in zip(network.arcs, network.capacities)]
-    flow = dinic.max_flow(network.source, network.sink)
-    side = dinic.residual_side(network.source)
-    if network.sink in side:  # only possible when no source-sink path existed
-        return MinCutResult((), (), 0.0, 0.0)
+    flow, side = _max_flow(network, tol)
     cut_arcs = []
     cut_nodes = []
-    for (u, v), aid in zip(network.arcs, arc_ids):
+    cut_caps = []
+    for (u, v), c in zip(network.arcs, network.capacities):
         if u in side and v not in side:
             cut_arcs.append((u, v))
             if not (1 <= u <= network.n and v == u + network.n):
                 raise ValidationError(f"min cut crossed a non-split arc ({u}, {v})")
             cut_nodes.append(u)
-    cost = math.fsum(network.capacities[network.arcs.index(a)] for a in cut_arcs)
+            cut_caps.append(c)
+    cost = math.fsum(cut_caps)
     if not math.isclose(cost, flow, rel_tol=1e-9, abs_tol=1e-9):
         raise ValidationError(f"max-flow/min-cut duality violated: flow={flow}, cut={cost}")
     return MinCutResult(tuple(cut_arcs), tuple(sorted(cut_nodes)), cost, flow)
@@ -247,13 +226,9 @@ class SingleStageEquilibrium:
         beta, alpha = params.beta_d[0], params.alpha_d
         total = 0.0
         for node, weight in pi.items():
-            row = defender.probs[node]
-            prod = row[0] * row[1] * math.prod(row[1 + r] for r in self.relevance[node])
-            spent = (
-                row[0] * params.tag_cost(graph, node)
-                + row[1] * params.trap_cost(graph, node)
-                + math.fsum(row[1 + r] * params.gamma[r - 1] for r in self.relevance[node])
-            )
+            row, rules = defender.probs[node], self.relevance[node]
+            prod = _product(row, rules)
+            spent = _spending(graph, params, node, row, rules)
             total += weight * (prod * alpha + (1.0 - prod) * beta + spent)
         return total
 
@@ -262,9 +237,22 @@ class SingleStageEquilibrium:
     ) -> float:
         """Adversary payoff of the attack path through ``node``."""
         defender = self.defender if defender is None else defender
-        row = defender.probs[node]
-        prod = row[0] * row[1] * math.prod(row[1 + r] for r in self.relevance[node])
+        prod = _product(defender.probs[node], self.relevance[node])
         return (1.0 - prod) * params.beta_a[0] + prod * params.alpha_a
+
+
+def _product(row, rules) -> float:
+    """Detection product of one node's defender row: tag, trap and its rules."""
+    return row[0] * row[1] * math.prod(row[1 + r] for r in rules)
+
+
+def _spending(graph: InformationFlowGraph, params: GameParams, node: int, row, rules) -> float:
+    """Expected defense spending at ``node`` under its defender row (signed)."""
+    return (
+        row[0] * params.tag_cost(graph, node)
+        + row[1] * params.trap_cost(graph, node)
+        + math.fsum(row[1 + r] * params.gamma[r - 1] for r in rules)
+    )
 
 
 def _bfs_path(graph: InformationFlowGraph, start: int, goals: set[int], blocked: set[int]):
@@ -354,12 +342,8 @@ def solve_matrix_game(
 
     beta, alpha = params.beta_d[0], params.alpha_d
     denom = beta - alpha  # < 0
-    costs = {
-        node: params.tag_cost(graph, node)
-        + params.trap_cost(graph, node)
-        + math.fsum(params.gamma[r - 1] for r in relevance[node])
-        for node in nodes
-    }
+    armed = (1.0,) * (graph.n + 2)  # every component on: the full spending
+    costs = {node: _spending(graph, params, node, armed, relevance[node]) for node in nodes}
 
     # (b) indifference mixture
     t = {node: beta - alpha - costs[node] for node in nodes}
@@ -439,12 +423,7 @@ def solve_matrix_game(
         pi[i] * ((1.0 - products[i]) * params.beta_a[0] + products[i] * params.alpha_a)
         for i in nodes
     )
-    spent = {
-        node: probs[node, 0] * params.tag_cost(graph, node)
-        + probs[node, 1] * params.trap_cost(graph, node)
-        + math.fsum(probs[node, 1 + r] * params.gamma[r - 1] for r in relevance[node])
-        for node in nodes
-    }
+    spent = {node: _spending(graph, params, node, probs[node], relevance[node]) for node in nodes}
     u_d = math.fsum(
         pi[i] * (products[i] * params.alpha_d + (1.0 - products[i]) * beta + spent[i])
         for i in nodes
@@ -482,21 +461,12 @@ def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
         notes.append("all indifference coefficients positive: defender plays the Not-detected row")
     defender = DefenderStrategy(probs)
     br = respond.adversary_best_response(graph, params, defender)
-    products = {
-        node: float(
-            probs[node, 0] * probs[node, 1] * math.prod(probs[node, 1 + r] for r in relevance[node])
-        )
-        for node in nodes
-    }
+    products = {node: float(_product(probs[node], relevance[node])) for node in nodes}
     if br.dropped:
         pi: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
         u_a = 0.0
-        u_d = 0.0 if not all_detect else math.fsum(
-            params.tag_cost(graph, i) + params.trap_cost(graph, i)
-            + math.fsum(params.gamma[r - 1] for r in relevance[i])
-            for i in nodes
-        )
+        u_d = math.fsum(costs[i] for i in nodes) if all_detect else 0.0
         notes.append("adversary best response is to drop immediately")
     else:
         cut_hits = [i for i in nodes if i in br.path]
@@ -507,11 +477,7 @@ def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
         detected = 1.0 - br.survival
         spent = 0.0
         if all_detect:
-            spent = math.fsum(
-                params.tag_cost(graph, i) + params.trap_cost(graph, i)
-                + math.fsum(params.gamma[r - 1] for r in relevance[i])
-                for i in nodes if i in br.path
-            )
+            spent = math.fsum(costs[i] for i in nodes if i in br.path)
         u_d = detected * params.alpha_d + br.survival * params.beta_d[0] + spent
     spread = (max(products.values()) - min(products.values())) if products else 0.0
     return SingleStageEquilibrium(

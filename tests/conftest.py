@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's solver code paths: the
 adversary-value oracle enumerates stage-respecting walks directly, the
 separator oracle enumerates node subsets, the stationary-distribution
 oracle solves a dense linear system, the walk oracles score the walks of
-``game.iter_walks`` one by one, and the profile-walk oracle plans a pure
-profile's walk step by step.  The kernel oracles are the former per-node,
+``game.iter_walks`` one by one, the profile-walk oracle plans a pure
+profile's walk step by step, and the recursive-Dinic oracle is the former
+min-cut flow that the iterative one must reproduce bit for bit.  The kernel oracles are the former per-node,
 per-term, per-state and per-element loops that the vectorized kernels must
 reproduce bit for bit.
 """
@@ -13,6 +14,7 @@ reproduce bit for bit.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -168,6 +170,99 @@ def oracle_separator_min_cost(graph, params):
         if not hit:
             best = cost
     return best
+
+
+class _RecursiveDinic:
+    """The former recursive Dinic max-flow (one recursion level per path arc)."""
+
+    def __init__(self, n_vertices: int, tol: float):
+        self.n = n_vertices
+        self.tol = tol
+        self.head: list[list[int]] = [[] for _ in range(n_vertices)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add_arc(self, u: int, v: int, cap: float) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0.0)
+        return idx
+
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > self.tol and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _blocking(self, u: int, t: int, pushed: float, level, it) -> float:
+        if u == t:
+            return pushed
+        while it[u] < len(self.head[u]):
+            e = self.head[u][it[u]]
+            v = self.to[e]
+            if self.cap[e] > self.tol and level[v] == level[u] + 1:
+                got = self._blocking(v, t, min(pushed, self.cap[e]), level, it)
+                if got > 0.0:
+                    self.cap[e] -= got
+                    self.cap[e ^ 1] += got
+                    return got
+            it[u] += 1
+        return 0.0
+
+    def max_flow(self, s: int, t: int) -> float:
+        flow = 0.0
+        while True:
+            level = self._levels(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._blocking(s, t, math.inf, level, it)
+                if pushed <= 0.0:
+                    break
+                flow += pushed
+
+    def residual_side(self, s: int) -> set[int]:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > self.tol and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+
+def oracle_recursive_dinic(network):
+    """(flow_value, cost, cut_nodes) of the former recursive min cut.
+
+    Recursion depth grows with the augmenting path, so keep instances to a
+    few hundred vertices.
+    """
+    finite = [c for c in network.capacities if math.isfinite(c)]
+    dinic = _RecursiveDinic(2 * network.n + 2, 1e-12 * max(1.0, max(finite, default=1.0)))
+    for (u, v), c in zip(network.arcs, network.capacities):
+        dinic.add_arc(u, v, c)
+    flow = dinic.max_flow(network.source, network.sink)
+    side = dinic.residual_side(network.source)
+    if network.sink in side:
+        return 0.0, 0.0, ()
+    cut_arcs = [(u, v) for u, v in network.arcs if u in side and v not in side]
+    cost = math.fsum(network.capacities[network.arcs.index(a)] for a in cut_arcs)
+    return flow, cost, tuple(sorted(u for u, _ in cut_arcs))
 
 
 def swap_chain(delta):

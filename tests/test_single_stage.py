@@ -6,7 +6,7 @@ import pytest
 from diftgame import game, ifg, single_stage
 from diftgame.errors import DegenerateEquilibrium, NotSingleStage, ValidationError
 
-from conftest import oracle_separator_min_cost, random_params
+from conftest import oracle_recursive_dinic, oracle_separator_min_cost, random_params
 from diftgame.generate import gen_graph
 
 
@@ -53,10 +53,11 @@ def test_network_rejects_multi_stage():
 def test_split_capacity_magnitude():
     g = ifg.make_graph(3, [(1, 2), (2, 3)], [[3]], [1], traffic=[1 / 3] * 3)
     net = single_stage.build_flow_network(g, params_for(g))
-    cap = net.capacities[net.split_arc(1)]
+    n = net.n
+    split = {net.arcs.index((i, i + n)) for i in (1, 2, 3)}
+    cap = net.capacities[net.arcs.index((1, 1 + n))]
     assert cap == pytest.approx(100.0 / 3.0)
-    assert all(c == math.inf for i, c in enumerate(net.capacities)
-               if i not in {net.split_arc(j) for j in (1, 2, 3)})
+    assert all(c == math.inf for i, c in enumerate(net.capacities) if i not in split)
 
 
 def test_network_parallel_paths_are_vertex_disjoint():
@@ -147,6 +148,45 @@ def test_min_cut_heterogeneous_traffic_against_oracle(rng):
         p = random_params(rng, 8, 1)
         cut = single_stage.min_cut(single_stage.build_flow_network(g, p))
         assert cut.cost == pytest.approx(oracle_separator_min_cost(g, p), abs=1e-9)
+
+
+def grid_graph(k, rng):
+    """k x k grid, entries on the left column, destinations on the right."""
+    def nid(r, c):
+        return r * k + c + 1
+
+    edges = [(nid(r, c), nid(r + dr, c + dc))
+             for r in range(k) for c in range(k)
+             for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))
+             if 0 <= r + dr < k and 0 <= c + dc < k]
+    return ifg.make_graph(k * k, edges, [[nid(r, k - 1) for r in range(k)]],
+                          [nid(r, 0) for r in range(k)],
+                          traffic=rng.uniform(0.5, 4.0, k * k).tolist(), rule_relevance={})
+
+
+def test_min_cut_matches_recursive_dinic_bit_for_bit(rng):
+    instances = [grid_graph(k, rng) for k in (3, 5, 8, 12) for _ in range(3)]
+    for seed in range(30):
+        instances.append(gen_graph(int(rng.integers(8, 60)), 1, int(rng.integers(1, 4)),
+                                   int(rng.integers(1, 4)), float(rng.uniform(0.03, 0.3)),
+                                   seed=7000 + seed))
+    for g in instances:
+        net = single_stage.build_flow_network(g, random_params(rng, g.n, 1))
+        cut = single_stage.min_cut(net)
+        assert (cut.flow_value, cut.cost, cut.cut_nodes) == oracle_recursive_dinic(net)
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_long_chain_cuts_its_cheapest_node(n):
+    rng = np.random.default_rng(n)
+    g = ifg.make_graph(n, [(i, i + 1) for i in range(1, n)], [[n]], [1],
+                       traffic=rng.uniform(10.0, 40.0, n).tolist(), rule_relevance={},
+                       fractional_traffic=False)
+    p = game.default_params(g)
+    eq = single_stage.solve_single_stage(g, p)
+    cheapest = int(np.argmin(g.traffic)) + 1
+    assert eq.cut.cut_nodes == (cheapest,)
+    assert eq.cut.flow_value == abs(p.tag_cost(g, cheapest) + p.trap_cost(g, cheapest))
 
 
 # ---------------------------------------------------------------------------
