@@ -7,6 +7,7 @@ The last line of the run's standard output must be one strict JSON object
 (no NaN or Infinity) with ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  ``metrics`` must hold every end-to-end metric that
 BENCHMARK.json declares when T = 0, and every per-layer metric when T = 1.
+No op may have failed: every workload's inputs are expected to solve.
 """
 
 import json
@@ -38,7 +39,7 @@ def main(path: str, trace: str) -> int:
         return 1
     print(f"{len(names)} metrics; correct={result['correct']}, "
           f"{result['failed']} of {result['attempted']} ops failed")
-    return 0
+    return 1 if result["failed"] > 0 else 0
 
 
 if __name__ == "__main__":

@@ -322,7 +322,7 @@ class AdversaryStrategy:
 
 
 def save_defender(strategy: DefenderStrategy, path) -> None:
-    write_json({"kind": "defender", "n": strategy.n, "probs": strategy.probs.tolist()}, path)
+    write_json({"kind": "defender", "n": strategy.n, "probs": strategy.probs}, path)
 
 
 def save_adversary(strategy: AdversaryStrategy, path) -> None:

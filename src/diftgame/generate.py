@@ -37,6 +37,19 @@ def staged_reachability_ok(graph: InformationFlowGraph) -> bool:
     return True
 
 
+def random_edges(rng: np.random.Generator, n_nodes: int, edge_density: float) -> list[tuple[int, int]]:
+    """Each ordered pair u != v of nodes 1..n is an edge with probability ``edge_density``.
+
+    One draw per off-diagonal cell, in row-major order, so the edges and the
+    state ``rng`` is left in are those of one scalar ``rng.random()`` per pair
+    in a ``for u: for v:`` loop.  Edges come out in that order too.
+    """
+    hit = np.zeros((n_nodes, n_nodes), dtype=bool)
+    hit[~np.eye(n_nodes, dtype=bool)] = rng.random(n_nodes * (n_nodes - 1)) < edge_density
+    us, vs = np.nonzero(hit)
+    return list(zip((us + 1).tolist(), (vs + 1).tolist()))
+
+
 def gen_graph(
     n_nodes: int,
     n_stages: int,
@@ -92,10 +105,7 @@ def gen_graph(
                 edges.add((relays[j], d))
                 if j + 1 < n_stages:
                     edges.add((d, relays[j + 1]))
-        for u in range(1, n_nodes + 1):
-            for v in range(1, n_nodes + 1):
-                if u != v and rng.random() < edge_density:
-                    edges.add((u, v))
+        edges.update(random_edges(rng, n_nodes, edge_density))
 
         # attach nodes not yet touched so the digraph is weakly connected
         touched = {u for e in edges for u in e}

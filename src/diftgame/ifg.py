@@ -278,11 +278,51 @@ def save(graph: InformationFlowGraph, path) -> None:
     write_json(payload, path)
 
 
-def write_json(payload, path) -> None:
-    """Write ``payload`` as indented, key-sorted JSON ending in a newline."""
+def write_json(payload: dict, path) -> None:
+    """Write ``payload`` as indented, key-sorted JSON ending in a newline.
+
+    The bytes are those of ``json.dump(payload, fh, indent=1, sort_keys=True)``
+    followed by a newline, where a 2-D ``np.ndarray`` value counts as its
+    ``tolist()``.  Such a matrix is written row by row: each row's items are
+    the text of ``json``'s C encoder (``float.__repr__`` for finite floats),
+    and each distinct row (by ``tobytes``, so ``-0.0`` stays apart from
+    ``0.0``) is encoded once, because a defender matrix is mostly identical
+    all-zero rows.  Every other value goes through ``json.dumps`` and is
+    indented one more level, which is safe because JSON text never holds a
+    raw newline inside a string.  The text is written as chunks, never as
+    one whole-file string.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(_json_chunks(payload))
+
+
+def _json_chunks(payload: dict):
+    sep = "{\n"
+    for key in sorted(payload):
+        yield f"{sep} {json.dumps(key)}: "
+        value = payload[key]
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            yield from _matrix_chunks(value)
+        else:
+            yield json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
+        sep = ",\n"
+    yield "\n}\n" if payload else "{}\n"
+
+
+def _matrix_chunks(matrix: np.ndarray):
+    """The ``indent=1`` text of ``matrix.tolist()`` as a value of a top-level key."""
+    texts: dict[bytes, str] = {}
+    sep = "[\n  "
+    for row in matrix:
+        key = row.tobytes()
+        text = texts.get(key)
+        if text is None:
+            items = json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
+            text = texts[key] = f"[\n   {items}\n  ]" if items else "[]"
+        yield sep
+        yield text
+        sep = ",\n  "
+    yield "\n ]" if len(matrix) else "[]"
 
 
 def load(path) -> InformationFlowGraph:

@@ -255,6 +255,13 @@ def _spending(graph: InformationFlowGraph, params: GameParams, node: int, row, r
     )
 
 
+def _names(components) -> str:
+    """Readable names of defender row components: 1 tag, 2 trap, 2 + r rule r."""
+    return ", ".join(
+        {1: "tag", 2: "trap"}.get(comp, f"rule {comp - 2}") for comp in components
+    )
+
+
 def _bfs_path(graph: InformationFlowGraph, start: int, goals: set[int], blocked: set[int]):
     """Shortest path start->any goal avoiding ``blocked``; smallest-node tie-break."""
     if start in goals:
@@ -315,7 +322,12 @@ def solve_matrix_game(
     (c) defender probabilities per cut node from the log-linear system
         log p_k = S - log(ratio_k) with S = sum(log ratio_k) / (K - 1),
         where ratio_k is the component's cost over the detection margin
-        (stage penalty minus detection reward).
+        (stage penalty minus detection reward).  A component whose solved
+        p_k exceeds 1 is clamped to 1 and S is re-solved over the K' free
+        components, S = sum_free(log ratio_k) / (K' - 1), until no free p_k
+        exceeds 1; a note names the clamped components.  When fewer than two
+        components stay free, or a clamped component's first-order condition
+        S >= log ratio_k fails, the boundary outcome is returned instead.
     (d) detection products are compared across cut nodes (their spread is
         reported; at an exact equilibrium it is zero).
     """
@@ -376,13 +388,14 @@ def solve_matrix_game(
     if not interior:
         return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
 
-    # (c) defender probabilities per cut node: each component's
+    # (c) defender probabilities per cut node: each free component's
     # cost-to-margin ratio pins the product of the other components
     probs = np.zeros((graph.n + 1, graph.n + 2))
     products = {}
+    clamp_notes = []
     for node in nodes:
         components = [1, 2] + [2 + r for r in relevance[node]]
-        ratios = []
+        log_ratios = {}
         for comp in components:
             if comp == 1:
                 num = params.tag_cost(graph, node)
@@ -396,19 +409,31 @@ def solve_matrix_game(
                     f"cost ratio for component {comp} at node {node} is {ratio!r} <= 0 "
                     "(a zero-cost component cannot be mixed)"
                 )
-            ratios.append(ratio)
-        k = len(ratios)
-        log_ratios = [math.log(x) for x in ratios]
-        s = math.fsum(log_ratios) / (k - 1)
-        for comp, lr in zip(components, log_ratios):
-            p = math.exp(s - lr)
-            if p > 1.0 + 1e-9:
-                raise DegenerateEquilibrium(
-                    f"solved probability {p!r} for component {comp} at node {node} "
-                    "falls outside (0, 1]"
-                )
-            probs[node, comp - 1] = min(p, 1.0)
+            log_ratios[comp] = math.log(ratio)
+        free, clamped = components, []
+        while len(free) >= 2:
+            s = math.fsum(log_ratios[comp] for comp in free) / (len(free) - 1)
+            over = [comp for comp in free if math.exp(s - log_ratios[comp]) > 1.0 + 1e-9]
+            if not over:
+                break
+            clamped = sorted(clamped + over)
+            free = [comp for comp in free if comp not in over]
+        # a clamped component may stay at 1 only while its marginal gain is
+        # nonnegative: the product of the others, exp(s), is at least its ratio
+        if len(free) < 2 or any(s < log_ratios[comp] for comp in clamped):
+            notes.append(
+                f"node {node}: clamping {_names(clamped)} to probability 1 leaves no "
+                f"interior solution for {_names(free) or 'no other component'}"
+            )
+            return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
+        if clamped:
+            clamp_notes.append(f"node {node}: {_names(clamped)} clamped to probability 1")
+        for comp in free:
+            probs[node, comp - 1] = min(math.exp(s - log_ratios[comp]), 1.0)
+        for comp in clamped:
+            probs[node, comp - 1] = 1.0
         products[node] = math.exp(s)
+    notes += clamp_notes
 
     defender = DefenderStrategy(probs)
     spread = max(products.values()) - min(products.values())
@@ -458,7 +483,8 @@ def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
                 probs[node, 1 + r] = 1.0
         notes.append("all indifference coefficients negative: defender plays the Detected row")
     else:
-        notes.append("all indifference coefficients positive: defender plays the Not-detected row")
+        reason = "all indifference coefficients positive: " if all(t[i] > 0 for i in nodes) else ""
+        notes.append(reason + "defender plays the Not-detected row")
     defender = DefenderStrategy(probs)
     br = respond.adversary_best_response(graph, params, defender)
     products = {node: float(_product(probs[node], relevance[node])) for node in nodes}

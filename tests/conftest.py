@@ -8,7 +8,8 @@ oracle solves a dense linear system, the walk oracles score the walks of
 profile's walk step by step, and the recursive-Dinic oracle is the former
 min-cut flow that the iterative one must reproduce bit for bit.  The kernel oracles are the former per-node,
 per-term, per-state and per-element loops that the vectorized kernels must
-reproduce bit for bit.
+reproduce bit for bit; the edge-draw oracle is the generator's former scalar
+loop.
 """
 
 from __future__ import annotations
@@ -392,6 +393,17 @@ def oracle_profile_utilities(graph, params, roster, actions):
     return game.evaluate_pure_profile(
         graph, params, roster.profile_bits(actions), oracle_profile_walk(roster, actions)
     )
+
+
+def oracle_gen_edges(rng, n_nodes, edge_density):
+    """The generator's former edge draw: one scalar ``rng.random()`` per pair u != v.
+
+    Yields the edges in draw order, so a dense n=1000 draw is never held twice.
+    """
+    for u in range(1, n_nodes + 1):
+        for v in range(1, n_nodes + 1):
+            if u != v and rng.random() < edge_density:
+                yield (u, v)
 
 
 def oracle_detection_vector(defender, graph):

@@ -1,7 +1,14 @@
+import io
+import itertools
+import json
+
+import numpy as np
 import pytest
 
-from diftgame import generate, ifg
+from diftgame import game, generate, ifg
 from diftgame.errors import ParseError, ValidationError
+
+from conftest import oracle_gen_edges
 
 
 def chain(n=3, stages=((3,),), vulnerable=(1,)):
@@ -173,6 +180,79 @@ def test_generator_output_loads_clean(tmp_path, rng):
         loaded = ifg.load(path)
         assert loaded == g
         assert ifg.validate(loaded) == []
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the generator's edge draw
+# ---------------------------------------------------------------------------
+
+
+def _json_dump_text(payload) -> str:
+    """What ``json.dump(indent=1, sort_keys=True)`` writes, arrays as their ``tolist()``."""
+    fh = io.StringIO()
+    json.dump(payload, fh, indent=1, sort_keys=True, default=np.ndarray.tolist)
+    return fh.getvalue() + "\n"
+
+
+def _writer_payloads(rng):
+    edge_rows = np.zeros((6, 5))
+    edge_rows[1] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0]
+    edge_rows[3] = edge_rows[1]  # a repeated non-zero row
+    edge_rows[4] = [0.1, 1 / 3, 2.0 ** -1074 * 3, 1e300, -1.5e-7]
+    edge_rows[5, 0] = -0.0  # differs from an all-zero row only in its sign bit
+    scales = 10.0 ** rng.integers(-300, 300, size=(7, 9))
+    return [
+        {"kind": "defender", "n": 5, "probs": edge_rows},
+        {"dense": rng.random((11, 13)), "scaled": rng.standard_normal((7, 9)) * scales},
+        {"nonfinite": np.array([[np.nan, np.inf], [-np.inf, 0.5]])},
+        {"no rows": np.zeros((0, 4)), "empty rows": np.zeros((3, 0)), "m": np.ones((1, 1))},
+        {
+            "nested": {"z": [1, 2, {"y": None, "x": [[], {}]}], "b": [], "a": {}},
+            "flags": [True, False, None],
+            "ints": [0, -3, 2 ** 70],
+            "floats": [0.1, -0.0, 1e-300, 5e-324],
+            "text": 'tab\there "quoted" back\\slash \u00e9 \u2603 \U0001f600 new\nline \x00',
+            "\u043a\u043b\u044e\u0447 \"k\"": "non-ASCII key",
+            "matrix": rng.random((3, 2)),
+        },
+        {},
+        {"only": "scalar"},
+    ]
+
+
+def test_write_json_matches_json_dump_bytes(tmp_path, rng):
+    for i, payload in enumerate(_writer_payloads(rng)):
+        path = tmp_path / f"p{i}.json"
+        ifg.write_json(payload, path)
+        assert path.read_bytes() == _json_dump_text(payload).encode("utf-8"), i
+
+
+def test_save_defender_round_trip_is_exact(tmp_path, rng):
+    g = generate.gen_graph(30, 1, 2, 2, 0.1, seed=3)
+    probs = rng.random((g.n + 1, g.n + 2))
+    probs[0] = 0.0
+    probs[rng.random(probs.shape) < 0.5] = 0.0  # many repeated values and rows
+    probs[5:9] = 0.0
+    probs[7, 3] = 1.0
+    for strategy in (game.DefenderStrategy(probs), game.DefenderStrategy.zeros(g)):
+        path = tmp_path / "d.json"
+        game.save_defender(strategy, path)
+        loaded = game.load_strategy(path)
+        assert loaded.probs.tobytes() == strategy.probs.tobytes()
+        assert path.read_text(encoding="utf-8") == _json_dump_text(
+            {"kind": "defender", "n": strategy.n, "probs": strategy.probs})
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 30, 100, 1000])
+def test_random_edges_match_the_scalar_loop(n, density):
+    seed = 7 * n + int(100 * density)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = generate.random_edges(fast, n, density)
+    expected = oracle_gen_edges(slow, n, density)
+    assert all(a == b for a, b in itertools.zip_longest(expected, edges))
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.random() == slow.random()
 
 
 def test_export_dot_no_edges():

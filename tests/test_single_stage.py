@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diftgame import game, ifg, single_stage
-from diftgame.errors import DegenerateEquilibrium, NotSingleStage, ValidationError
+from diftgame.errors import NotSingleStage, ValidationError
 
 from conftest import oracle_recursive_dinic, oracle_separator_min_cost, random_params
 from diftgame.generate import gen_graph
@@ -284,28 +285,30 @@ def test_equal_detection_products_on_homogeneous_instances(rng):
         assert eq.product_spread <= 1e-9
 
 
-def test_no_profitable_deviation_at_interior_equilibrium(rng):
-    g, p = interior_instance(rng, seed=5000)
-    eq = single_stage.solve_single_stage(g, p)
-    assert eq.diagnostics == "interior"
+def assert_no_profitable_defender_deviation(eq, g, p):
+    """No single defender component moved anywhere in [0, 1] gains the defender."""
     base = eq.matrix_defender_payoff(g, p)
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     for node in eq.nodes:
         for comp in [1, 2] + [2 + r for r in eq.relevance[node]]:
-            cur = eq.defender.probs[node, comp - 1]
             values = []
             for x in (0.0, 1.0):  # payoff is linear in each component
                 values.append(eq.matrix_defender_payoff(
                     g, p, defender=eq.defender.with_entry(node, comp, x)))
-            lo, hi = min(values), max(values)
-            assert hi <= base + 1e-6
+            assert max(values) <= base + 1e-6
             # spot-check a few grid points against linearity
             for x in grid[::250]:
                 dev = eq.matrix_defender_payoff(
                     g, p, defender=eq.defender.with_entry(node, comp, float(x)))
                 assert dev <= base + 1e-6
-                frac = (x - 0.0) / 1.0
-                assert dev == pytest.approx(values[0] * (1 - frac) + values[1] * frac, abs=1e-8)
+                assert dev == pytest.approx(values[0] * (1 - x) + values[1] * x, abs=1e-8)
+
+
+def test_no_profitable_deviation_at_interior_equilibrium(rng):
+    g, p = interior_instance(rng, seed=5000)
+    eq = single_stage.solve_single_stage(g, p)
+    assert eq.diagnostics == "interior"
+    assert_no_profitable_defender_deviation(eq, g, p)
     # adversary: mass shifts between cut-node paths never gain
     values = {i: eq.matrix_adversary_value(p, i) for i in eq.nodes}
     base_a = sum(eq.pi[i] * values[i] for i in eq.nodes)
@@ -318,13 +321,64 @@ def test_no_profitable_deviation_at_interior_equilibrium(rng):
             assert dev <= base_a + 1e-6
 
 
-def test_degenerate_when_probability_escapes_unit_interval():
-    # tag cost dwarfs the others: solved tag probability would exceed 1
+def test_tag_probability_above_one_is_clamped():
+    # tag cost dwarfed by the others: the unclamped tag probability is about 12
     g = chain_graph()
     p = game.GameParams(alpha_a=-10, beta_a=(5,), alpha_d=0.5,
                         beta_d=(-11.5,), c1=-0.02 * 3, c2=-7.0 * 3, gamma=(-4.98,) * 3)
-    with pytest.raises(DegenerateEquilibrium):
-        single_stage.solve_single_stage(g, p)
+    eq = single_stage.solve_single_stage(g, p)
+    assert eq.diagnostics == "interior"
+    (node,) = eq.nodes
+    row = eq.defender.probs[node]
+    assert row[0] == 1.0
+    assert f"node {node}: tag clamped to probability 1" in eq.notes
+    # the free components (trap and the rule) stay indifferent
+    denom = p.beta_d[0] - p.alpha_d
+    prod = row[0] * row[1] * row[2]
+    assert 0.0 < row[1] < 1.0 and 0.0 < row[2] < 1.0
+    assert prod / row[1] == pytest.approx(p.trap_cost(g, node) / denom, rel=1e-12)
+    assert prod / row[2] == pytest.approx(p.gamma[0] / denom, rel=1e-12)
+    # the clamped tag's marginal gain: the product of the others beats its ratio
+    assert prod / row[0] >= p.tag_cost(g, node) / denom
+    assert eq.products[node] == pytest.approx(prod, rel=1e-12)
+    assert_no_profitable_defender_deviation(eq, g, p)
+
+
+def test_generated_graphs_with_traffic_solve_without_leaving_the_unit_interval():
+    """Stock parameters on U(10, 40) traffic: cheap rules clamp to 1 at interior cuts.
+
+    Detection products differ across cut nodes there (a note says so), so only
+    the defender side is checked for deviations.
+    """
+    interior = 0
+    for seed in range(30):
+        g = gen_graph(60, 1, 2, 3, 0.05, seed=seed)
+        traffic = np.random.default_rng(seed).uniform(10.0, 40.0, g.n)
+        g = replace(g, traffic=tuple(traffic.tolist()), fractional_traffic=False)
+        p = game.default_params(g)
+        eq = single_stage.solve_single_stage(g, p)
+        if eq.diagnostics != "interior":
+            continue
+        interior += 1
+        assert_no_profitable_defender_deviation(eq, g, p)
+    assert interior >= 10
+
+
+def test_clamp_that_leaves_one_free_component_falls_back_to_the_boundary():
+    # node 1's cheap rule clamps and leaves its tag and trap free; node 2's rule
+    # costs more than the detection margin, so its tag and trap both solve
+    # above 1; the cut's indifference coefficients have opposite signs
+    g = ifg.make_graph(2, [], [[1, 2]], [1, 2], traffic=[1.0, 2.0],
+                       rule_relevance=[(1,), (2,)])
+    p = game.GameParams(alpha_a=-10.0, beta_a=(5.0,), alpha_d=1.0, beta_d=(-7.0,),
+                        c1=-2.0, c2=-2.0, gamma=(-0.01, -12.0))
+    eq = single_stage.solve_single_stage(g, p)
+    assert eq.diagnostics == "boundary"
+    # node 1's clamp is not reported: the interior solution was abandoned
+    assert eq.notes == (
+        "node 2: clamping tag, trap to probability 1 leaves no interior solution for rule 2",
+        "defender plays the Not-detected row",
+    )
 
 
 def test_matrix_game_requires_nonempty_cut():
