@@ -160,7 +160,13 @@ class DefenderStrategy:
             raise ValidationError(
                 f"defender strategy must have shape (n+1, 2+n), got {probs.shape}"
             )
-        if np.any(probs < -_PROB_TOL) or np.any(probs > 1 + _PROB_TOL):
+        if not (np.all(probs >= -_PROB_TOL) and np.all(probs <= 1 + _PROB_TOL)):  # NaN fails
+            bad = np.argwhere(~np.isfinite(probs))
+            if bad.size:
+                node, column = bad[0]
+                raise ValidationError(
+                    f"defender probability at node {node}, column {column} is not a finite number"
+                )
             raise ValidationError("defender probabilities must lie in [0, 1]")
         if np.any(probs[0] != 0):
             raise ValidationError("the pseudo-source row must be identically zero")
@@ -255,6 +261,10 @@ class AdversaryStrategy:
                 if a not in allowed:
                     raise ValidationError(
                         f"state ({v}, {j}) assigns probability to {a}, not a neighbor of {v}"
+                    )
+                if not math.isfinite(p):
+                    raise ValidationError(
+                        f"state ({v}, {j}) assigns a non-finite probability to {a}"
                     )
                 if p < -_PROB_TOL:
                     raise ValidationError(f"state ({v}, {j}) has a negative probability")
@@ -763,6 +773,61 @@ def evaluate_exact(
 # ---------------------------------------------------------------------------
 
 
+_GUIDE_BUCKETS = 256  # a power of two, so u * B and its floor are exact
+
+
+def _move_tables(adversary: AdversaryStrategy, n: int, m: int):
+    """Padded per-state action tables and a guide table over [0, 1).
+
+    State (v, j) has code ``v * m + (j - 1)`` and owns the moves
+    ``code * width + col``, one per action in ascending id order (``DROP``
+    first), padded with ``DROP``.  ``cum`` holds the cumulative action
+    probabilities per move, the last bound of each state (and the padding)
+    at ``inf``, so that the last action takes every draw past the
+    second-to-last bound, including draws that rounding leaves above the
+    total.  The move for a draw u is the first whose bound exceeds u, the
+    one ``searchsorted(bounds, u, side="right")`` names.
+
+    ``guide[code * B + b]`` is the indexed search of Chen & Asau (1974) over
+    the B buckets [b/B, (b+1)/B): the move that every draw in the bucket
+    picks, or ``-1 - move`` when a bound lies inside the bucket, naming the
+    first move whose bound lies above b/B; from there, the draw settles by
+    comparison.  Returns ``(known, width, target, cum, guide)``, where
+    ``known`` flags the codes that have a distribution and ``target`` is the
+    action of each move; the arrays are flat.
+    """
+    rows, cols, acts, probs = [], [], [], []
+    for (v, j), dist in adversary.moves.items():
+        if 0 <= v <= n and 1 <= j <= m:
+            for col, (a, p) in enumerate(sorted(dist.items())):
+                rows.append(v * m + j - 1)
+                cols.append(col)
+                acts.append(a)
+                probs.append(p)
+    n_codes = (n + 1) * m
+    width = max(cols, default=0) + 1
+    counts = np.bincount(rows, minlength=n_codes)
+    target = np.full((n_codes, width), DROP, dtype=np.intp)
+    target[rows, cols] = acts
+    prob = np.zeros((n_codes, width))
+    prob[rows, cols] = probs
+    cum = np.cumsum(prob, axis=1)
+    cum[np.arange(width) >= counts[:, None] - 1] = np.inf
+
+    B = _GUIDE_BUCKETS
+    x = cum * B
+    # bound x lies at or below every draw of bucket b iff ceil(x) <= b
+    first = np.where(x <= B, np.ceil(np.maximum(x, 0.0)), B).astype(np.intp)
+    below = np.bincount((np.arange(n_codes)[:, None] * (B + 1) + first).ravel(),
+                        minlength=n_codes * (B + 1)).reshape(n_codes, B + 1)
+    guide = np.cumsum(below, axis=1)[:, :B] + (np.arange(n_codes) * width)[:, None]
+    inside = (x > 0.0) & (x < B) & (x != np.floor(x))
+    code_of, col_of = np.nonzero(inside)
+    bucket = np.floor(x[code_of, col_of]).astype(np.intp)
+    guide[code_of, bucket] = -1 - guide[code_of, bucket]
+    return counts > 0, width, target.ravel(), cum.ravel(), guide.ravel()
+
+
 def evaluate_monte_carlo(
     graph: InformationFlowGraph,
     params: GameParams,
@@ -774,8 +839,14 @@ def evaluate_monte_carlo(
 ) -> UtilityReport:
     """Sample ``n_trials`` rollouts; walks hitting ``max_len`` count as drops.
 
-    Deterministic for a fixed seed.  Rollouts are simulated in lock-step over
-    all still-active trials, grouping by (node, stage) state.
+    Deterministic for a fixed seed.  Rollouts advance in lock-step over the
+    live trials, and each step draws from ``np.random.default_rng(seed)`` in
+    a fixed order: one ``random(k)`` call for the k live trials, whose draws
+    go to the (node, stage) states in ascending ``node * M + stage - 1``
+    order and, within a state, in trial order; then one ``random`` call with
+    one detection draw per trial that moves, in trial order.  A draw u picks
+    the first action whose cumulative probability exceeds u, the actions
+    taken in ascending id order with ``DROP`` first.
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
@@ -787,33 +858,29 @@ def evaluate_monte_carlo(
     n = graph.n
     rng = np.random.default_rng(seed)
     d = defender.detection_vector(graph)
-
-    # per decision state: action targets and cumulative probabilities; the
-    # last action takes every draw past the second-to-last bound, including
-    # draws that rounding leaves above the total
-    targets: dict[int, np.ndarray] = {}
-    cumprobs: dict[int, np.ndarray] = {}
-    for (v, j), dist in adversary.moves.items():
-        acts = sorted(dist.items())
-        code = v * m + (j - 1)
-        targets[code] = np.array([a for a, _ in acts], dtype=np.int64)
-        cumprobs[code] = np.cumsum([p for _, p in acts])
-        cumprobs[code][-1:] = np.inf
+    known, width, target, cum, guide = _move_tables(adversary, n, m)
 
     sort_key = np.uint16 if (n + 1) * m <= 1 << 16 else np.int64  # numpy radix-sorts 16-bit keys
     adv_stage = np.zeros((n + 1, m + 2), dtype=np.int64)
     for v in range(n + 1):
         for j in range(1, m + 1):
             adv_stage[v, j] = graph.advance(v, j)
+    # per move: the stage it leaves and the stage it reaches, and the next
+    # state's code, -1 for a drop and -2 for a completed attack
+    from_stage = np.repeat(np.arange(known.size) % m + 1, width)
+    dropping = target == DROP
+    to_stage = np.where(dropping, from_stage, adv_stage[target, from_stage])
+    next_code = np.where(dropping, -1, np.where(to_stage > m, -2, target * m + to_stage - 1))
+    shifts = to_stage != from_stage
+    detect = d[target]
     ba_prefix = np.concatenate(([0.0], np.cumsum(params.beta_a)))
     bd_prefix = np.concatenate(([0.0], np.cumsum(params.beta_d)))
 
-    node = np.zeros(n_trials, dtype=np.int64)
-    stage = np.ones(n_trials, dtype=np.int64)
-    alive = np.ones(n_trials, dtype=bool)
+    # live trials only: their ids, ascending, and state codes
+    ids = np.arange(n_trials)
+    code = np.zeros(n_trials, dtype=np.intp)
     u_a = np.zeros(n_trials)
     u_d_path = np.zeros(n_trials)
-    crossed = np.zeros(n_trials, dtype=np.int64)  # stages completed so far
     pt_counts = np.zeros(m, dtype=np.int64)
     pr_diff = np.zeros(m + 2, dtype=np.int64)  # difference array over stage range
     n_detected = 0
@@ -821,65 +888,58 @@ def evaluate_monte_carlo(
     dropped_after = np.zeros(m + 1, dtype=np.int64)  # index: stages crossed at drop
 
     for _ in range(max_len):
-        active = np.flatnonzero(alive)
-        if active.size == 0:
+        if ids.size == 0:
             break
-        codes = node[active] * m + (stage[active] - 1)
-        # group the trials by state, in trial order within a state; the draws
-        # go to the states in ascending code order
-        order = np.argsort(codes.astype(sort_key), kind="stable")
-        grouped = codes[order]
-        bounds = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        u = rng.random(active.size)
-        picked = np.empty(active.size, dtype=np.int64)
-        for lo, hi in zip([0] + bounds, bounds + [active.size]):
-            code = int(grouped[lo])
-            if code not in targets:
-                v, j = divmod(code, m)
-                raise ValidationError(
-                    f"adversary strategy has no distribution for node {v} at stage {j + 1}"
-                )
-            picked[lo:hi] = targets[code][cumprobs[code].searchsorted(u[lo:hi], side="right")]
-        chosen = np.empty(active.size, dtype=np.int64)
-        chosen[order] = picked
-        dropping = chosen == DROP
-        drop_idx = active[dropping]
-        alive[drop_idx] = False
-        np.add.at(dropped_after, crossed[drop_idx], 1)
+        missing = ~known[code]
+        if missing.any():
+            v, j = divmod(int(code[missing].min()), m)
+            raise ValidationError(
+                f"adversary strategy has no distribution for node {v} at stage {j + 1}"
+            )
+        order = np.argsort(code.astype(sort_key), kind="stable")
+        u = np.empty(ids.size)
+        u[order] = rng.random(ids.size)
+        move = guide[code * _GUIDE_BUCKETS + (u * _GUIDE_BUCKETS).astype(np.intp)]
+        tied = np.flatnonzero(move < 0)
+        if tied.size:
+            at, u_tied = -1 - move[tied], u[tied]
+            while (up := cum[at] <= u_tied).any():
+                at += up
+            move[tied] = at
 
-        movers = active[~dropping]
-        to = chosen[~dropping]
-        if movers.size == 0:
-            continue
-        caught = rng.random(movers.size) < d[to]
-        det_idx = movers[caught]
-        if det_idx.size:
-            np.add.at(pt_counts, stage[det_idx] - 1, 1)
+        moving = next_code[move] != -1
+        # code % m is the number of stages a trial has crossed
+        dropped_after += np.bincount(code[~moving] % m, minlength=m + 1)
+        ids, move = ids[moving], move[moving]
+
+        caught = rng.random(ids.size) < detect[move]
+        if caught.any():
+            det_idx = ids[caught]
+            pt_counts += np.bincount(from_stage[move[caught]] - 1, minlength=m)
             u_a[det_idx] += params.alpha_a
             u_d_path[det_idx] += params.alpha_d
-            alive[det_idx] = False
             n_detected += det_idx.size
-        surv = movers[~caught]
-        to_s = to[~caught]
-        if surv.size == 0:
-            continue
-        old_stage = stage[surv]
-        new_stage = adv_stage[to_s, old_stage]
-        u_a[surv] += ba_prefix[new_stage - 1] - ba_prefix[old_stage - 1]
-        u_d_path[surv] += bd_prefix[new_stage - 1] - bd_prefix[old_stage - 1]
-        np.add.at(pr_diff, old_stage, 1)
-        np.add.at(pr_diff, new_stage, -1)
-        crossed[surv] += new_stage - old_stage
-        node[surv] = to_s
-        stage[surv] = new_stage
-        done = new_stage > m
-        done_idx = surv[done]
-        alive[done_idx] = False
-        n_completed += done_idx.size
+            kept = ~caught
+            ids, move = ids[kept], move[kept]
 
-    trunc_idx = np.flatnonzero(alive)
-    n_truncated = int(trunc_idx.size)
-    np.add.at(dropped_after, crossed[trunc_idx], 1)  # truncation counts as a drop
+        code = next_code[move]
+        # a move that keeps the stage adds exact zeros to the payoffs and a
+        # cancelling +1/-1 pair to pr_diff, so only stage changes are booked
+        changed = np.flatnonzero(shifts[move])
+        if changed.size:
+            old, new = from_stage[move[changed]], to_stage[move[changed]]
+            who = ids[changed]
+            u_a[who] += ba_prefix[new - 1] - ba_prefix[old - 1]
+            u_d_path[who] += bd_prefix[new - 1] - bd_prefix[old - 1]
+            pr_diff += np.bincount(old, minlength=m + 2) - np.bincount(new, minlength=m + 2)
+            done = int(np.count_nonzero(new > m))
+            if done:
+                n_completed += done
+                going = code >= 0
+                ids, code = ids[going], code[going]
+
+    n_truncated = int(ids.size)
+    dropped_after += np.bincount(code % m, minlength=m + 1)  # truncation counts as a drop
 
     pr_counts = np.cumsum(pr_diff)[1 : m + 1]
     tag, trap, rule = strategy_costs(graph, params, defender)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from diftgame import cli, game, generate, ifg
@@ -207,3 +209,29 @@ def test_cli_params_file_override(tmp_path, graph_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["params"]["alpha_a"] == -100
     assert manifest["config"]["params"]["gamma"] == [-2.0] * 8
+
+
+def test_cli_monte_carlo_outputs_are_pinned(tmp_path):
+    # SHA-256 of report.csv and sweep.csv as written by commit 15644bc, the
+    # last one whose Monte Carlo step loop searched each state's bounds in a
+    # per-state Python loop; the indexed-search kernel must give the same bytes
+    gen = tmp_path / "gen"
+    assert run_cli(["gen-graph", "--nodes", 16, "--stages", 2, "--dest-per-stage", "1,1",
+                    "--entries", 3, "--density", 0.15, "--seed", 4, "--out-dir", gen]) == 0
+    graph_file = gen / "graph.json"
+    graph = ifg.load(graph_file)
+    rng = np.random.default_rng(17)
+    game.save_defender(game.DefenderStrategy.random(graph, rng), tmp_path / "defender.json")
+    game.save_adversary(game.AdversaryStrategy.random(graph, rng), tmp_path / "adversary.json")
+    assert run_cli(["simulate", graph_file, "--defender", tmp_path / "defender.json",
+                    "--adversary", tmp_path / "adversary.json", "--n-trials", 5000,
+                    "--seed", 9, "--out-dir", tmp_path / "sim"]) == 0
+    assert run_cli(["sweep-cost", graph_file, "--factors", "3,6", "--max-iters", 100,
+                    "--eta", 0.02, "--sim-trials", 3000, "--seed", 1,
+                    "--out-dir", tmp_path / "sweep"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / sub / name).read_bytes()).hexdigest()
+               for sub, name in (("sim", "report.csv"), ("sweep", "sweep.csv"))}
+    assert digests == {
+        "report.csv": "5e7f589d88d12fe1d068978c0c57cca81c44f750eae7adfbf4c003fd5d61d2d0",
+        "sweep.csv": "695b032057873f7457ff8289210bee9a37eec633fc4b8981ac0fbcf23bd07667",
+    }

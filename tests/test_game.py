@@ -92,6 +92,22 @@ def test_defender_strategy_source_row_must_be_zero():
         game.DefenderStrategy(probs)
 
 
+def test_defender_strategy_rejects_non_finite_entries(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        probs = np.full((3, 4), 0.5)
+        probs[0] = 0.0
+        probs[2, 1] = bad
+        with pytest.raises(ValidationError, match="node 2, column 1 is not a finite number"):
+            game.DefenderStrategy(probs)
+    # Python's json module reads the non-standard token NaN, so the file loads
+    # as far as the strategy constructor
+    path = tmp_path / "defender.json"
+    path.write_text('{"kind": "defender", "n": 2, "probs": '
+                    '[[0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.5, NaN, 0.5, 0.5]]}')
+    with pytest.raises(ValidationError, match="node 2, column 1"):
+        game.load_strategy(path)
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
@@ -402,6 +418,14 @@ def test_adversary_strategy_validation_rejects_non_neighbors():
         adv.validate(g)
 
 
+def test_adversary_strategy_validation_rejects_non_finite_probability():
+    g = chain_instance()
+    moves = game.AdversaryStrategy.uniform(g).moves
+    moves[(1, 1)] = {2: float("nan"), DROP: 1.0}  # NaN slips past both range checks
+    with pytest.raises(ValidationError, match=r"state \(1, 1\) assigns a non-finite probability to 2"):
+        game.AdversaryStrategy(moves).validate(g)
+
+
 # ---------------------------------------------------------------------------
 # absorbing chain
 # ---------------------------------------------------------------------------
@@ -547,18 +571,97 @@ def test_strategy_costs_match_termwise_fsum(rng):
         assert [math.copysign(1.0, x) for x in zero] == [1.0, 1.0, 1.0]  # +0.0, as fsum gives
 
 
+def complete_graph(n):
+    """Every ordered pair an edge and entries 1..n-2: at n=9 the source has
+    eight actions and every other state nine, drop included."""
+    edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return ifg.make_graph(n, edges, [[n // 2], [n]], list(range(1, n - 1)),
+                          rule_relevance=[(1,)] * n)
+
+
+def hub_graph(spokes):
+    """Node 1 reaches every spoke and every spoke returns to it: one state is
+    ``spokes + 1`` actions wide while the others have at most three."""
+    n = spokes + 1
+    edges = [(1, v) for v in range(2, n + 1)] + [(v, 1) for v in range(2, n + 1)]
+    edges += [(v, v + 1) for v in range(2, n)]
+    return ifg.make_graph(n, edges, [[n // 2], [n]], [1], rule_relevance=[(1,)] * n)
+
+
+def reshaped(graph, rng, shape):
+    """A strategy whose every state's distribution is ``shape(actions, rng)``."""
+    graph = ifg.ensure_augmented(graph)
+    moves = {}
+    for v, j in game.AdversaryStrategy.decision_states(graph):
+        actions = [DROP] + sorted(graph.successors.get(v, ()))
+        moves[(v, j)] = {a: float(p) for a, p in zip(actions, shape(actions, rng)) if p is not None}
+    return game.AdversaryStrategy(moves)
+
+
+def uniform_over(k):
+    """1/k on DROP and k - 1 other actions: every bound sits on a bucket edge."""
+    def shape(actions, rng):
+        chosen = set(rng.choice(len(actions) - 1, size=k - 1, replace=False) + 1) | {0}
+        return [1.0 / k if i in chosen else None for i in range(len(actions))]
+    return shape
+
+
+def with_zeros(actions, rng):
+    """Zero-probability actions, DROP often among them: bounds repeat, some at 0."""
+    w = rng.dirichlet(np.ones(len(actions)))
+    w[rng.random(len(actions)) < 0.4] = 0.0
+    if not w.any():
+        w[-1] = 1.0
+    return w / w.sum()
+
+
+def short_total(actions, rng):
+    """Sums to 1 - 5e-7, within ``validate``'s tolerance; every other state
+    gives its last action probability 0, so the rounding overflow lands on it."""
+    w = rng.dirichlet(np.ones(len(actions)))
+    if len(actions) > 2 and rng.random() < 0.5:
+        w[-1] = 0.0
+        w /= w.sum()
+    return w * (1.0 - 5e-7)
+
+
+def clustered_wide(actions, rng):
+    """In wide states, DROP and the next nine actions get 1e-5 each: ten
+    bounds inside the first bucket, above every draw's bucket start."""
+    w = rng.dirichlet(np.ones(len(actions)))
+    if len(actions) > 10:
+        w[:10] = 1e-5
+        w[10:] *= (1.0 - w[:10].sum()) / w[10:].sum()
+    return w
+
+
 def test_monte_carlo_reproduces_per_state_loop(rng):
     cyclic = generate.gen_graph(30, 3, 2, 2, 0.1, seed=6)
-    cases = [(g, None) for g in kernel_graphs(rng)] + [(cyclic, 4)]  # the last run truncates
-    for seed, (g, max_len) in enumerate(cases):
+    dense = complete_graph(9)
+    hub = hub_graph(40)
+    cases = [(g, game.AdversaryStrategy.random(g, rng), None) for g in kernel_graphs(rng)]
+    cases += [(cyclic, game.AdversaryStrategy.random(cyclic, rng), 4)]  # truncates
+    cases += [(dense, reshaped(dense, rng, uniform_over(k)), None) for k in (2, 4, 8)]
+    cases += [(dense, reshaped(dense, rng, uniform_over(8)), 3)]  # truncates
+    cases += [(g, reshaped(g, rng, with_zeros), None) for g in (dense, cyclic)]
+    cases += [(g, reshaped(g, rng, short_total), None) for g in (dense, cyclic)]
+    cases += [(hub, reshaped(hub, rng, clustered_wide), None)]
+    # seed 824 draws u >= 1 - 5e-7 among the 5000 source draws of the first
+    # step, so one trial takes the overflow of a short total
+    assert np.random.default_rng(824).random(5_000).max() >= 1.0 - 5e-7
+    seeds = list(range(len(cases)))
+    seeds[-3:-1] = [824, 824]
+    truncated = 0
+    for seed, (g, adv, max_len) in zip(seeds, cases):
+        adv.validate(g)
         p = random_params(rng, g.n, g.n_stages)
         d = game.DefenderStrategy.random(g, rng)
-        adv = game.AdversaryStrategy.random(g, rng)
         got = game.evaluate_monte_carlo(g, p, d, adv, 5_000, seed, max_len)
         want = oracle_monte_carlo(g, p, d, adv, 5_000, seed, max_len)
         assert got.csv_row() == want.csv_row()
         assert got.outcome_counts == want.outcome_counts
-    assert want.truncated_mass > 0.0
+        truncated += max_len is not None and want.truncated_mass > 0.0
+    assert truncated == 2
 
 
 def test_monte_carlo_missing_state_error_matches_per_state_loop():
