@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, game, generate, ifg, learn, respond, single_stage
-from .errors import DiftGameError
+from .errors import DiftGameError, ParseError
 
 
 class _StageError(Exception):
@@ -41,30 +41,61 @@ def _run_stage(stage: str, fn, *args, **kwargs):
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir or os.environ.get("DIFTGAME_OUTPUT_DIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    _run_stage("write", out.mkdir, parents=True, exist_ok=True)
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    _run_stage("write", path.write_text, text, encoding="utf-8")
+
+
 def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
-    ifg.write_json({"command": command, "config": resolved, "outputs": sorted(outputs)},
-                   out / "manifest.json")
+    _run_stage("write", ifg.write_json,
+               {"command": command, "config": resolved, "outputs": sorted(outputs)},
+               out / "manifest.json")
 
 
 def load_params_file(path, graph: ifg.InformationFlowGraph) -> game.GameParams:
-    """JSON parameter block; ``gamma`` may be a scalar broadcast to all rules."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """JSON parameter block; ``gamma`` may be a scalar broadcast to all rules.
+
+    Raises ParseError, naming the field and ``path``, for malformed JSON, a
+    missing field, or a value that is not a number (or a list of numbers).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("expected a JSON object", path=path)
+
+    def number(field, value):
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"expected a number, got {value!r}", field=field, path=path) from exc
+
+    def need(field):
+        if field not in raw:
+            raise ParseError("missing required field", field=field, path=path)
+        return raw[field]
+
+    def numbers(field, value):
+        if not isinstance(value, list):
+            raise ParseError(f"expected a list of numbers, got {value!r}", field=field, path=path)
+        return tuple(number(field, v) for v in value)
+
     gamma = raw.get("gamma", -50.0)
     if isinstance(gamma, (int, float)):
-        gamma = [float(gamma)] * graph.n
+        gamma = [gamma] * graph.n
     return game.GameParams(
-        alpha_a=float(raw["alpha_a"]),
-        beta_a=tuple(float(b) for b in raw["beta_a"]),
-        alpha_d=float(raw["alpha_d"]),
-        beta_d=tuple(float(b) for b in raw["beta_d"]),
-        c1=float(raw["c1"]),
-        c2=float(raw["c2"]),
-        gamma=tuple(gamma),
+        alpha_a=number("alpha_a", need("alpha_a")),
+        beta_a=numbers("beta_a", need("beta_a")),
+        alpha_d=number("alpha_d", need("alpha_d")),
+        beta_d=numbers("beta_d", need("beta_d")),
+        c1=number("c1", need("c1")),
+        c2=number("c2", need("c2")),
+        gamma=numbers("gamma", gamma),
     )
 
 
@@ -115,8 +146,7 @@ def _cmd_gen_graph(args) -> int:
     _run_stage("write", ifg.save, graph, graph_path)
     outputs = [args.name]
     if args.dot:
-        with open(out / args.dot, "w", encoding="utf-8") as fh:
-            fh.write(ifg.export_dot(graph))
+        _write_text(out / args.dot, ifg.export_dot(graph))
         outputs.append(args.dot)
     _write_manifest(out, "gen-graph", {
         "nodes": args.nodes, "stages": args.stages, "dest_per_stage": dests,
@@ -136,7 +166,7 @@ def _cmd_solve_single(args) -> int:
         "paths": {str(node): list(path) for node, path in sorted(eq.paths.items())},
         "weights": {str(node): eq.pi[node] for node in sorted(eq.pi)},
     }
-    ifg.write_json(mixture, out / "adversary_mixture.json")
+    _run_stage("write", ifg.write_json, mixture, out / "adversary_mixture.json")
     _write_manifest(out, "solve-single", {"graph": str(args.graph), "params": resolved},
                     ["defender.json", "adversary_mixture.json"])
     print(f"diagnostics: {eq.diagnostics}")
@@ -153,8 +183,7 @@ def _cmd_solve_multi(args) -> int:
     params, resolved = _params_for(args, graph)
     cfg = learn.LearnerConfig(eta=args.eta, eps=args.eps, max_iters=args.max_iters, seed=args.seed)
     result = _run_stage("solve-multi", learn.run, graph, params, cfg)
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write(result.trace_csv())
+    _write_text(out / "trace.csv", result.trace_csv())
     _run_stage("write", game.save_defender, result.defender_strategy(), out / "defender.json")
     _run_stage("write", game.save_adversary, result.adversary_strategy(), out / "adversary.json")
     summary = {
@@ -163,7 +192,7 @@ def _cmd_solve_multi(args) -> int:
         "final_gap": result.final_gap,
         "players": len(result.roster),
     }
-    ifg.write_json(summary, out / "summary.json")
+    _run_stage("write", ifg.write_json, summary, out / "summary.json")
     _write_manifest(out, "solve-multi", {
         "graph": str(args.graph), "params": resolved,
         "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters, "seed": args.seed,
@@ -223,8 +252,7 @@ def _cmd_simulate(args) -> int:
         graph, params, defender, adversary, args.n_trials, args.seed,
     )
     csv_text = game.UtilityReport.csv_header(graph.n_stages) + "\n" + report.csv_row() + "\n"
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+    _write_text(out / "report.csv", csv_text)
     _write_manifest(out, "simulate", {
         "graph": str(args.graph), "params": resolved, "defender": str(args.defender),
         "adversary": str(args.adversary), "n_trials": args.n_trials, "seed": args.seed,
@@ -243,8 +271,7 @@ def _cmd_sweep_cost(args) -> int:
         "sweep-cost", experiments.sweep_cost,
         graph, params, factors, cfg, args.sim_trials, args.seed,
     )
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(sweep.to_csv())
+    _write_text(out / "sweep.csv", sweep.to_csv())
     _write_manifest(out, "sweep-cost", {
         "graph": str(args.graph), "params": resolved, "factors": factors,
         "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters,

@@ -53,16 +53,10 @@ class Unreachable(DiftGameError):
 
 
 class DegenerateEquilibrium(DiftGameError):
-    """The closed-form equilibrium probabilities fall outside (0, 1]."""
+    """A cut node has a zero-cost tag, trap or rule component, which the
+    closed-form single-stage equilibrium cannot mix."""
 
 
 class GenerationFailed(DiftGameError):
-    """The synthetic graph generator exhausted its retry budget."""
+    """The node budget cannot host the generator's destinations, entries and relays."""
 
-
-class NonConvergence(DiftGameError):
-    """An iterative solve reached its iteration cap before its tolerance.
-
-    Part of the public error hierarchy; the swap-chain fixed point is a
-    direct solve and never raises it.
-    """

@@ -288,7 +288,6 @@ def defender_best_response_greedy(
     variant: str = "randomized",
     seed: int = 0,
     scheme: str = "component",
-    objective: DefenderObjective | None = None,
 ) -> DiscretizedDefenderSet:
     """One double-greedy pass over the ground set, in ground-set index order.
 
@@ -301,8 +300,7 @@ def defender_best_response_greedy(
     """
     if variant not in ("randomized", "deterministic"):
         raise ValidationError(f"unknown double-greedy variant {variant!r}")
-    if objective is None:
-        objective = DefenderObjective(graph, params, adversary, levels, scheme)
+    objective = DefenderObjective(graph, params, adversary, levels, scheme)
     rng = np.random.default_rng(seed)
     n = len(objective.ground)
     lower: set[int] = set()

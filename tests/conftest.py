@@ -9,7 +9,8 @@ profile's walk step by step, and the recursive-Dinic oracle is the former
 min-cut flow that the iterative one must reproduce bit for bit.  The kernel oracles are the former per-node,
 per-term, per-state and per-element loops that the vectorized kernels must
 reproduce bit for bit; the edge-draw oracle is the generator's former scalar
-loop.
+loop, and the staged-reachability oracle searches (node, stage) states to
+check the generator's backbone guarantee.
 """
 
 from __future__ import annotations
@@ -404,6 +405,37 @@ def oracle_gen_edges(rng, n_nodes, edge_density):
         for v in range(1, n_nodes + 1):
             if u != v and rng.random() < edge_density:
                 yield (u, v)
+
+
+def staged_reachability_ok(graph):
+    """Every stage-j destination is reachable from every entry in stage j.
+
+    A search over (node, stage) arrivals per entry, built from the edge list:
+    arriving at a node of D_j in stage j completes stage j there and moves
+    the attack on to stage j + 1 (and on again while the node also sits in
+    the next sets).
+    """
+    m = graph.n_stages
+    succ = {}
+    for u, v in graph.edges:
+        succ.setdefault(u, []).append(v)
+    for entry in graph.vulnerable:
+        seen, completed = set(), set()
+        stack = [(entry, 1)]
+        while stack:
+            node, j = stack.pop()
+            if (node, j) in seen:
+                continue
+            seen.add((node, j))
+            while j <= m and node in graph.stages[j - 1]:
+                completed.add((node, j))
+                j += 1
+            if j <= m:
+                stack.extend((w, j) for w in succ.get(node, ()))
+        if any((d, j) not in completed
+               for j, dests in enumerate(graph.stages, start=1) for d in dests):
+            return False
+    return True
 
 
 def oracle_detection_vector(defender, graph):

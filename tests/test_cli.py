@@ -8,6 +8,8 @@ import pytest
 from diftgame import cli, game, generate, ifg
 from diftgame.errors import GenerationFailed, ValidationError
 
+from conftest import staged_reachability_ok
+
 
 # ---------------------------------------------------------------------------
 # generator
@@ -32,10 +34,28 @@ def test_gen_graph_tiny_complete():
 
 
 def test_gen_graph_outputs_validate_clean():
-    for seed in range(5):
-        g = generate.gen_graph(14, 3, (2, 1, 2), 2, 0.12, seed=seed)
+    # each (stage count 1-4, density, slack 0-3) triple once; density 0 keeps
+    # only the backbone and attaching edges, slack 0 is needed == n_nodes
+    rng = np.random.default_rng(2024)
+    densities = (0.0, 0.05, 0.15, 0.4, 1.0)
+    for seed in range(80):
+        n_stages = 1 + seed % 4
+        dests = tuple(int(k) for k in rng.integers(1, 4, size=n_stages))
+        n_entries = int(rng.integers(1, 4))
+        n_nodes = sum(dests) + n_entries + n_stages + seed // 20
+        g = generate.gen_graph(n_nodes, n_stages, dests, n_entries, densities[seed % 5],
+                               seed=seed)
         assert ifg.validate(g) == []
-        assert generate.staged_reachability_ok(g)
+        assert g.n == n_nodes and len(g.vulnerable) == n_entries
+        assert tuple(len(s) for s in g.stages) == dests
+        assert staged_reachability_ok(g)
+
+
+def test_staged_reachability_oracle_rejects_misordered_stages():
+    # 1 -> 2 -> 3 passes D_2 = {2} while still in stage 1
+    assert staged_reachability_ok(ifg.make_graph(3, [(1, 2), (2, 3)], [[2], [3]], [1]))
+    assert not staged_reachability_ok(ifg.make_graph(3, [(1, 2), (2, 3)], [[3], [2]], [1]))
+    assert not staged_reachability_ok(ifg.make_graph(3, [(1, 2)], [[3]], [1]))
 
 
 def test_gen_graph_deterministic_in_seed():
@@ -198,10 +218,7 @@ def test_cli_output_dir_from_environment(tmp_path, graph_file, monkeypatch):
 
 def test_cli_params_file_override(tmp_path, graph_file):
     params_path = tmp_path / "params.json"
-    params_path.write_text(json.dumps({
-        "alpha_a": -100, "beta_a": [10, 20], "alpha_d": 100,
-        "beta_d": [-10, -20], "c1": -1, "c2": -1, "gamma": -2,
-    }))
+    params_path.write_text(json.dumps(GOOD_PARAMS))
     out = tmp_path / "p"
     code = run_cli(["solve-multi", graph_file, "--params", params_path,
                     "--max-iters", 50, "--out-dir", out])
@@ -209,6 +226,39 @@ def test_cli_params_file_override(tmp_path, graph_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["params"]["alpha_a"] == -100
     assert manifest["config"]["params"]["gamma"] == [-2.0] * 8
+
+
+GOOD_PARAMS = {
+    "alpha_a": -100, "beta_a": [10, 20], "alpha_d": 100,
+    "beta_d": [-10, -20], "c1": -1, "c2": -1, "gamma": -2,
+}
+
+
+@pytest.mark.parametrize("text, field", [
+    (json.dumps({k: v for k, v in GOOD_PARAMS.items() if k != "beta_a"}), "beta_a"),
+    ('{"alpha_a": -100,', None),
+    (json.dumps({**GOOD_PARAMS, "c1": "cheap"}), "c1"),
+], ids=["missing-field", "malformed-json", "non-numeric"])
+def test_cli_bad_params_file_fails_with_stage(tmp_path, graph_file, capsys, text, field):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(text)
+    code = run_cli(["solve-multi", graph_file, "--params", params_path,
+                    "--max-iters", 5, "--out-dir", tmp_path / "p"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [load-params]")
+    assert f"path={params_path}" in err
+    if field is not None:
+        assert f"field={field!r}" in err
+
+
+def test_cli_out_dir_naming_a_file_fails_with_stage(tmp_path, capsys):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    code = run_cli(["gen-graph", "--nodes", 5, "--stages", 1, "--entries", 1,
+                    "--dest-per-stage", "1", "--out-dir", not_a_dir])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error [write]")
 
 
 def test_cli_monte_carlo_outputs_are_pinned(tmp_path):
@@ -235,3 +285,64 @@ def test_cli_monte_carlo_outputs_are_pinned(tmp_path):
         "report.csv": "5e7f589d88d12fe1d068978c0c57cca81c44f750eae7adfbf4c003fd5d61d2d0",
         "sweep.csv": "695b032057873f7457ff8289210bee9a37eec633fc4b8981ac0fbcf23bd07667",
     }
+
+
+# SHA-256 of the files written by commit 400c92f, whose gen_graph built each
+# graph twice and re-checked staged reachability in a retry loop; the
+# one-pass generator must give the same bytes
+GENERATOR_PINS = {
+    "four_stage": (
+        ["--nodes", 30, "--stages", 4, "--dest-per-stage", "2", "--entries", 1,
+         "--density", 0.08, "--seed", 12],
+        {
+            "graph.json": "6bdb39ffd10ff1c889002eec87f5a91fda355182a009f4bc0d1b1f7087884bc1",
+            "graph.dot": "bde847fbf6d638ab8575edcf956bb84af047d326bc0b1ec81346db2d2397e60e",
+            "response.json": "d252eb63664b2d9a99ab194173ba39589b68b077520c68caecc373bb7ae93b22",
+        },
+    ),
+    "two_stage": (
+        ["--nodes", 16, "--stages", 2, "--dest-per-stage", "1,2", "--entries", 3,
+         "--density", 0.15, "--seed", 4],
+        {
+            "graph.json": "5ce3c776f2041d574931c02912ce4d463d87ba58d9ded2d18a6d20ad02754b9a",
+            "graph.dot": "667d687beab4ebd680a1dec8fed80de8d5e004c2fca69677a7544ab7fac09127",
+            "response.json": "c34c1a6561b2825347e83c3c209f550c853093db8f1ec9ae5b093da70b813077",
+        },
+    ),
+    "one_stage_1000": (
+        ["--nodes", 1000, "--stages", 1, "--dest-per-stage", "2", "--entries", 3,
+         "--density", 0.005, "--seed", 1],
+        {
+            "graph.json": "aee6515abe3429363dd8e46d672a8d99312ca6b022ccf01bc09caf1b6659586c",
+            "graph.dot": "70ad03fd05ee2c8453c3eae8fa87984232ec7ef958bc529cf049ee053f8ba071",
+            "defender.json": "5003d38ef1b0b4effaf399d4041bdd25027d50631a3f594058b3abe74a579abe",
+            "adversary_mixture.json": "bb95dae3efbf9722b3ba578c8b23c5a4ac47e8c56718576bd07ba2e6ac18198b",
+            "response.json": "689e98026f7bd7c886889d09af895704662a5008be492bc4ae7023de676043bc",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATOR_PINS))
+def test_cli_generator_outputs_are_pinned(tmp_path, shape):
+    gen_args, expected = GENERATOR_PINS[shape]
+    gen = tmp_path / "gen"
+    assert run_cli(["gen-graph", *gen_args, "--out-dir", gen, "--dot", "graph.dot"]) == 0
+    graph_file = gen / "graph.json"
+    files = {"graph.json": graph_file, "graph.dot": gen / "graph.dot"}
+    graph = ifg.load(graph_file)
+    if graph.n_stages == 1:
+        assert run_cli(["solve-single", graph_file, "--out-dir", tmp_path / "single"]) == 0
+        defender = tmp_path / "single" / "defender.json"
+        files["defender.json"] = defender
+        files["adversary_mixture.json"] = tmp_path / "single" / "adversary_mixture.json"
+    else:
+        defender = tmp_path / "defender.json"
+        game.save_defender(game.DefenderStrategy.random(graph, np.random.default_rng(17)),
+                           defender)
+    assert run_cli(["best-response", graph_file, "--side", "adversary",
+                    "--strategy", defender, "--out-dir", tmp_path / "bra"]) == 0
+    files["response.json"] = tmp_path / "bra" / "response.json"
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in files.items()}
+    assert digests == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diftgame import game, ifg, learn
-from diftgame.errors import NonConvergence, ValidationError
+from diftgame.errors import ValidationError
 from diftgame.game import DROP
 from diftgame.learn import ADVANCE, LearnerConfig, PlayerRoster, fixed_point, swap_distribution
 
@@ -435,11 +435,6 @@ def test_swap_regret_decreases_with_budget(rng):
             regrets.append(learn.swap_regret(res, g, p))
         medians.append(float(np.median(regrets)))
     assert medians[0] >= medians[1] >= medians[2]
-
-
-def test_nonconvergence_error_exists():
-    with pytest.raises(NonConvergence):
-        raise NonConvergence("cap")
 
 
 def test_run_matches_naive_reference_dynamics(rng):
