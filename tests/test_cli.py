@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
@@ -346,3 +348,59 @@ def test_cli_generator_outputs_are_pinned(tmp_path, shape):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in files.items()}
     assert digests == expected
+
+
+def test_cli_learner_and_defender_response_outputs_are_pinned(tmp_path):
+    # SHA-256 of the files and value lines written by commit fc9a4f9, whose
+    # learner roster, learner costs and defender ground set each worked out
+    # the defender's (node, column) layout on their own; reading it from
+    # InformationFlowGraph.defender_cells must give the same bytes
+    gen_args, _ = GENERATOR_PINS["four_stage"]
+    gen = tmp_path / "gen"
+    assert run_cli(["gen-graph", *gen_args, "--out-dir", gen]) == 0
+    graph_file = gen / "graph.json"
+    multi = tmp_path / "multi"
+    assert run_cli(["solve-multi", graph_file, "--max-iters", 300, "--out-dir", multi]) == 0
+    digests = {name: hashlib.sha256((multi / name).read_bytes()).hexdigest()
+               for name in ("trace.csv", "defender.json", "adversary.json", "summary.json")}
+
+    graph = ifg.load(graph_file)
+    adversary = tmp_path / "adversary.json"
+    game.save_adversary(game.AdversaryStrategy.random(graph, np.random.default_rng(5)), adversary)
+    for levels in (1, 2):
+        for variant in ("randomized", "deterministic"):
+            out = tmp_path / f"brd-{levels}-{variant}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run_cli(["best-response", graph_file, "--side", "defender",
+                                "--strategy", adversary, "--levels", levels,
+                                "--variant", variant, "--out-dir", out]) == 0
+            value = next(line for line in stdout.getvalue().splitlines()
+                         if line.startswith("value:"))
+            digests[f"{levels}-{variant}"] = (
+                hashlib.sha256((out / "response.json").read_bytes()).hexdigest(), value)
+    assert digests == LEARNER_RESPONSE_PINS
+
+
+LEARNER_RESPONSE_PINS = {
+    "trace.csv": "de04aa9f122c2df0debf631435cd7744d8114b35f927a3a32dd7a5c4d69d7729",
+    "defender.json": "9628ce76bcbd123ecfe13fc2a2f1aa4cc3b9b326ebc5534ac7816610a6648652",
+    "adversary.json": "b0ddb58637eb9842dd1575db3a883493730a876479c0ba062f08e1fbe86a9488",
+    "summary.json": "b809d0bafb92c3dcacd3f8e6a16b7ac842783790a14945eea5939a6f82cd66a1",
+    "1-randomized": (
+        "a72bd6acef425d3700ba5f3102ec9023c5c4c49305e3fa800911410c896c2891",
+        "value: 1398.4537174822087 (3 of 88 ground elements, 178 evaluations)",
+    ),
+    "1-deterministic": (
+        "a72bd6acef425d3700ba5f3102ec9023c5c4c49305e3fa800911410c896c2891",
+        "value: 1398.4537174822087 (3 of 88 ground elements, 178 evaluations)",
+    ),
+    "2-randomized": (
+        "a72bd6acef425d3700ba5f3102ec9023c5c4c49305e3fa800911410c896c2891",
+        "value: 1398.4537174822087 (6 of 176 ground elements, 354 evaluations)",
+    ),
+    "2-deterministic": (
+        "a72bd6acef425d3700ba5f3102ec9023c5c4c49305e3fa800911410c896c2891",
+        "value: 1398.4537174822087 (6 of 176 ground elements, 354 evaluations)",
+    ),
+}
