@@ -1,9 +1,11 @@
 """Strategies, game parameters, and utility evaluation.
 
-The defender picks, per node, a tuple of 2+N probabilities: tag, trap, and
-one entry per security rule.  A flow is detected at a node when the tag, the
-trap, and every rule relevant at that node fire together, so the per-visit
-detection probability is the product of those components.  The adversary
+The defender picks, per node, a tuple of 2+N probabilities: tag (column 0),
+trap (column 1), and rule r (column 1 + r).  A flow is detected at a node
+when the tag, the trap, and every rule relevant at that node fire together,
+so the per-visit detection probability is the product of those cells, the
+ones ``InformationFlowGraph.defender_cells`` lists; ``GameParams.cell_costs``
+prices every cell.  The adversary
 picks, per (node, stage), a distribution over out-neighbors plus a drop
 action; arriving at a stage-j destination while in stage j forces the stage
 to advance.
@@ -92,11 +94,19 @@ class GameParams:
     def n_stages(self) -> int:
         return len(self.beta_a)
 
-    def tag_cost(self, graph: InformationFlowGraph, node: int) -> float:
-        return self.c1 * graph.traffic[node - 1]
+    def cell_costs(self, graph: InformationFlowGraph) -> np.ndarray:
+        """Price of every defender cell, shaped like a defender matrix (all <= 0).
 
-    def trap_cost(self, graph: InformationFlowGraph, node: int) -> float:
-        return self.c2 * graph.traffic[node - 1]
+        Column 0 (tag) costs ``c1`` times the node's traffic, column 1 (trap)
+        ``c2`` times it, and column 1 + r (rule r) ``gamma[r - 1]``; row 0,
+        the pseudo-source, is zero.
+        """
+        traffic = np.asarray(graph.traffic, dtype=float)
+        costs = np.zeros((graph.n + 1, graph.n + 2))
+        costs[1:, 0] = self.c1 * traffic
+        costs[1:, 1] = self.c2 * traffic
+        costs[1:, 2:] = self.gamma
+        return costs
 
     def check_against(self, graph: InformationFlowGraph) -> None:
         if self.n_stages != graph.n_stages:
@@ -202,8 +212,9 @@ class DefenderStrategy:
     def detection_vector(self, graph: InformationFlowGraph) -> np.ndarray:
         """Per-node detection probability; index 0 (pseudo-source) is 0.
 
-        Every node multiplies its tag, trap and relevant rules left to right,
-        as ``detection_prob`` does; padding columns multiply by an exact 1.0.
+        Every node multiplies the probabilities of its ``defender_cells``
+        left to right: tag, trap, then its relevant rules in ``relevance``
+        order; padding columns multiply by an exact 1.0.
         """
         probs = np.concatenate((self.probs, np.ones((self.probs.shape[0], 1))), axis=1)
         rules = np.take_along_axis(probs, graph.rule_columns, axis=1)
@@ -214,17 +225,6 @@ class DefenderStrategy:
 
     def __eq__(self, other):
         return isinstance(other, DefenderStrategy) and np.array_equal(self.probs, other.probs)
-
-
-def detection_prob(node: int, defender: DefenderStrategy, relevance) -> float:
-    """Tag * trap * product of the relevant rule probabilities at ``node``."""
-    if node == SOURCE:
-        return 0.0
-    row = defender.probs[node]
-    p = row[0] * row[1]
-    for r in relevance:
-        p *= row[1 + r]
-    return float(p)
 
 
 class AdversaryStrategy:
@@ -351,21 +351,30 @@ def load_strategy(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("expected a JSON object", path=path)
     kind = raw.get("kind")
     if kind == "defender":
         if "probs" not in raw:
             raise ParseError("missing required field", field="probs", path=path)
-        return DefenderStrategy(np.asarray(raw["probs"], dtype=float))
+        try:
+            probs = np.asarray(raw["probs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError("expected a matrix of numbers", field="probs", path=path) from exc
+        return DefenderStrategy(probs)
     if kind == "adversary":
         if "moves" not in raw:
             raise ParseError("missing required field", field="moves", path=path)
         moves = {}
-        for v_key, by_stage in raw["moves"].items():
-            for j_key, dist in by_stage.items():
-                state = (int(v_key), int(j_key))
-                moves[state] = {
-                    (DROP if a == "drop" else int(a)): float(p) for a, p in dist.items()
-                }
+        try:
+            for v_key, by_stage in raw["moves"].items():
+                for j_key, dist in by_stage.items():
+                    moves[(int(v_key), int(j_key))] = {
+                        (DROP if a == "drop" else int(a)): float(p) for a, p in dist.items()
+                    }
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError("expected node -> stage -> action -> probability maps keyed by "
+                             "integer ids", field="moves", path=path) from exc
         return AdversaryStrategy(moves)
     raise ParseError(f"unknown strategy kind {kind!r}", field="kind", path=path)
 
@@ -514,12 +523,8 @@ def strategy_costs(
     These depend on the defender strategy alone; rule costs are charged for
     every selected rule, relevant at the node or not.
     """
-    probs = defender.probs[1:]
-    traffic = np.asarray(graph.traffic)
-    tag = _exact_sum(probs[:, 0] * (params.c1 * traffic))
-    trap = _exact_sum(probs[:, 1] * (params.c2 * traffic))
-    rule = _exact_sum(probs[:, 2:] * np.asarray(params.gamma))
-    return tag, trap, rule
+    terms = defender.probs * params.cell_costs(graph)
+    return _exact_sum(terms[:, 0]), _exact_sum(terms[:, 1]), _exact_sum(terms[:, 2:])
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -861,15 +866,11 @@ def evaluate_monte_carlo(
     known, width, target, cum, guide = _move_tables(adversary, n, m)
 
     sort_key = np.uint16 if (n + 1) * m <= 1 << 16 else np.int64  # numpy radix-sorts 16-bit keys
-    adv_stage = np.zeros((n + 1, m + 2), dtype=np.int64)
-    for v in range(n + 1):
-        for j in range(1, m + 1):
-            adv_stage[v, j] = graph.advance(v, j)
     # per move: the stage it leaves and the stage it reaches, and the next
     # state's code, -1 for a drop and -2 for a completed attack
     from_stage = np.repeat(np.arange(known.size) % m + 1, width)
     dropping = target == DROP
-    to_stage = np.where(dropping, from_stage, adv_stage[target, from_stage])
+    to_stage = np.where(dropping, from_stage, graph.advance_table[target, from_stage])
     next_code = np.where(dropping, -1, np.where(to_stage > m, -2, target * m + to_stage - 1))
     shifts = to_stage != from_stage
     detect = d[target]
@@ -1004,16 +1005,10 @@ def evaluate_pure_profile(
         if v not in succ.get(u, ()):
             raise InvalidPath(f"step ({u}, {v}) is not an edge")
 
-    armed = np.zeros(graph.n + 1, dtype=bool)
-    for i in range(1, graph.n + 1):
-        armed[i] = bits[i, 0] and bits[i, 1] and all(bits[i, 1 + r] for r in graph.relevance(i))
-
-    cost = math.fsum(
-        bits[i, 0] * params.tag_cost(graph, i)
-        + bits[i, 1] * params.trap_cost(graph, i)
-        + math.fsum(bits[i, 1 + r] * params.gamma[r - 1] for r in range(1, graph.n + 1))
-        for i in range(1, graph.n + 1)
-    )
+    nodes, columns = graph.defender_cells
+    armed = np.arange(graph.n + 1) != SOURCE
+    armed[nodes[bits[nodes, columns] == 0]] = False
+    cost = _exact_sum(bits * params.cell_costs(graph))
 
     m = graph.n_stages
     stage = 1

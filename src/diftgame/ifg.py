@@ -85,17 +85,48 @@ class InformationFlowGraph:
         return {d: tuple(js) for d, js in member.items()}
 
     @cached_property
-    def rule_columns(self) -> np.ndarray:
-        """Defender-row column of each relevant rule, one row per node id 0..n.
+    def defender_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every defender cell of the real nodes, as (node, column) arrays.
 
-        Rule r sits in column 1 + r of a defender probability row.  Rows keep
-        the ``relevance`` order and are padded with column n + 2, one past the
-        last real column; row 0 (the pseudo-source) is all padding.
+        Node-major: node i owns its tag (column 0), its trap (column 1) and
+        column 1 + r for each relevant rule r, in ``relevance`` order.  A
+        flow is detected at a node only when all of its cells fire together.
         """
+        nodes = np.repeat(np.arange(1, self.n + 1), [2 + len(r) for r in self.rule_relevance])
+        columns = np.array([c for rules in self.rule_relevance for c in (0, 1, *(1 + r for r in rules))],
+                           dtype=np.intp)
+        nodes.setflags(write=False)
+        columns.setflags(write=False)
+        return nodes, columns
+
+    @cached_property
+    def rule_columns(self) -> np.ndarray:
+        """The rule cells of ``defender_cells``, one row per node id 0..n.
+
+        Rows are padded with column n + 2, one past the last real column;
+        row 0 (the pseudo-source) is all padding.
+        """
+        nodes, columns = self.defender_cells
+        is_rule = columns >= 2
+        first = np.searchsorted(nodes, nodes)  # each cell's node's first cell
+        slot = np.arange(nodes.size) - first - 2
         width = max((len(r) for r in self.rule_relevance), default=0)
         table = np.full((self.n + 1, width), self.n + 2, dtype=np.intp)
-        for i, rules in enumerate(self.rule_relevance, start=1):
-            table[i, :len(rules)] = [1 + r for r in rules]
+        table[nodes[is_rule], slot[is_rule]] = columns[is_rule]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def advance_table(self) -> np.ndarray:
+        """``advance(v, j)`` at row v, column j, for node ids 0..n and stages 1..M.
+
+        Column 0 is unused and holds 0.
+        """
+        m = self.n_stages
+        table = np.zeros((self.n + 1, m + 1), dtype=np.int64)
+        for v in range(self.n + 1):
+            for j in range(1, m + 1):
+                table[v, j] = self.advance(v, j)
         table.setflags(write=False)
         return table
 
@@ -340,17 +371,22 @@ def load(path) -> InformationFlowGraph:
             raise ParseError(f"expected {kind.__name__}, got {type(value).__name__}", field=field_name, path=path)
         return value
 
+    def ints(values, message, field_name):
+        try:
+            return [int(v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(message, field=field_name, path=path) from exc
+
     nodes = need("nodes", list)
-    ids, labels, traffic = [], [], []
     for rec in nodes:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each node record needs an 'id'", field="nodes", path=path)
-        ids.append(int(rec["id"]))
-        labels.append(str(rec.get("label", f"s{rec['id']}")))
-        try:
-            traffic.append(float(rec.get("traffic", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ParseError("node traffic must be a number", field="nodes.traffic", path=path) from exc
+    ids = ints([rec["id"] for rec in nodes], "node ids must be integers", "nodes.id")
+    labels = [str(rec.get("label", f"s{rec['id']}")) for rec in nodes]
+    try:
+        traffic = [float(rec.get("traffic", 0.0)) for rec in nodes]
+    except (TypeError, ValueError) as exc:
+        raise ParseError("node traffic must be a number", field="nodes.traffic", path=path) from exc
     n = len(ids)
     if sorted(ids) != list(range(1, n + 1)):
         raise ParseError("node ids must be exactly 1..n", field="nodes.id", path=path)
@@ -358,30 +394,15 @@ def load(path) -> InformationFlowGraph:
     labels = [labels[k] for k in order]
     traffic = [traffic[k] for k in order]
 
-    def int_pairs(field_name):
-        value = need(field_name, list)
-        pairs = []
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ParseError("expected a list of [u, v] pairs", field=field_name, path=path)
-            pairs.append((int(item[0]), int(item[1])))
-        return pairs
-
     stages_raw = need("stages", list)
     stages = []
     for j, dest in enumerate(stages_raw, start=1):
         if not isinstance(dest, list):
             raise ParseError(f"stage {j} must be a list of node ids", field="stages", path=path)
-        try:
-            stages.append(tuple(sorted(int(d) for d in dest)))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"stage {j} contains a non-integer entry", field="stages", path=path) from exc
+        stages.append(tuple(sorted(ints(dest, f"stage {j} contains a non-integer entry", "stages"))))
 
-    vulnerable = need("vulnerable", list)
-    try:
-        vulnerable = tuple(sorted(int(v) for v in vulnerable))
-    except (TypeError, ValueError) as exc:
-        raise ParseError("vulnerable entries must be integers", field="vulnerable", path=path) from exc
+    vulnerable = tuple(sorted(ints(need("vulnerable", list), "vulnerable entries must be integers",
+                                   "vulnerable")))
 
     if "rule_relevance" in raw:
         rel_raw = need("rule_relevance", dict)
@@ -390,16 +411,23 @@ def load(path) -> InformationFlowGraph:
             rel = rel_raw.get(str(i), [])
             if not isinstance(rel, list):
                 raise ParseError(f"rule_relevance[{i}] must be a list", field="rule_relevance", path=path)
-            relevance.append(tuple(sorted(int(r) for r in rel)))
+            relevance.append(tuple(sorted(ints(rel, f"rule_relevance[{i}] must list integers",
+                                               "rule_relevance"))))
         relevance = tuple(relevance)
     else:
         relevance = (tuple(range(1, n + 1)),) * n
+
+    edges = []
+    for item in need("edges", list):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
+        edges.append(tuple(ints(item, "edge endpoints must be integers", "edges")))
 
     graph = InformationFlowGraph(
         n=n,
         labels=tuple(labels),
         traffic=tuple(traffic),
-        edges=tuple(sorted(set(int_pairs("edges")))),
+        edges=tuple(sorted(set(edges))),
         stages=tuple(stages),
         vulnerable=vulnerable,
         rule_relevance=relevance,

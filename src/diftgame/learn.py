@@ -34,7 +34,6 @@ class Player:
     kind: str  # "move" | "entry" | "tag" | "trap" | "rule"
     node: int
     stage: int = 0  # move players only
-    rule: int = 0  # rule players only
     actions: tuple[int, ...] = ()
 
     @property
@@ -48,7 +47,10 @@ class PlayerRoster:
     (M+2)N + L + 1 players, L = total relevant (node, rule) pairs.
 
     Order: move players (node-major, then stage), the entry player, tag
-    players 1..n, trap players 1..n, rule players sorted by (node, rule).
+    players 1..n, trap players 1..n, rule players in ``defender_cells``
+    order.  Defender player ``defender_start + k`` owns the cell
+    (``defender_nodes[k]``, ``defender_columns[k]``); ``defender_index``
+    maps a (node, column) cell back to its player.
     """
 
     def __init__(self, graph: InformationFlowGraph):
@@ -69,19 +71,15 @@ class PlayerRoster:
         self.entry_index = len(players)
         players.append(Player("entry", SOURCE, actions=tuple(graph.vulnerable)))
         self.defender_start = len(players)
-        self.tag_index: dict[int, int] = {}
-        self.trap_index: dict[int, int] = {}
-        self.rule_index: dict[tuple[int, int], int] = {}
-        for node in range(1, graph.n + 1):
-            self.tag_index[node] = len(players)
-            players.append(Player("tag", node, actions=(0, 1)))
-        for node in range(1, graph.n + 1):
-            self.trap_index[node] = len(players)
-            players.append(Player("trap", node, actions=(0, 1)))
-        for node in range(1, graph.n + 1):
-            for rule in graph.relevance(node):
-                self.rule_index[(node, rule)] = len(players)
-                players.append(Player("rule", node, rule=rule, actions=(0, 1)))
+        nodes, columns = graph.defender_cells
+        # tags, then traps, then rules: the learner draws one uniform per
+        # player in this order each iteration
+        cells = np.argsort(np.minimum(columns, 2), kind="stable")
+        self.defender_nodes, self.defender_columns = nodes[cells], columns[cells]
+        self.defender_index: dict[tuple[int, int], int] = {}
+        for node, column in zip(self.defender_nodes.tolist(), self.defender_columns.tolist()):
+            self.defender_index[(node, column)] = len(players)
+            players.append(Player(("tag", "trap", "rule")[min(column, 2)], node, actions=(0, 1)))
         self.players = tuple(players)
 
     def __len__(self) -> int:
@@ -91,30 +89,17 @@ class PlayerRoster:
     def n_defenders(self) -> int:
         return len(self.players) - self.defender_start
 
-    def defender_players_at(self, node: int) -> list[int]:
-        out = [self.tag_index[node], self.trap_index[node]]
-        out.extend(self.rule_index[(node, r)] for r in self.graph.relevance(node))
-        return out
-
     def profile_bits(self, actions) -> np.ndarray:
         """Defender 0/1 matrix of a pure profile, shaped (n+1, 2+n)."""
-        graph = self.graph
-        bits = np.zeros((graph.n + 1, graph.n + 2))
-        for node in range(1, graph.n + 1):
-            bits[node, 0] = actions[self.tag_index[node]]
-            bits[node, 1] = actions[self.trap_index[node]]
-            for r in graph.relevance(node):
-                bits[node, 1 + r] = actions[self.rule_index[(node, r)]]
+        bits = np.zeros((self.graph.n + 1, self.graph.n + 2))
+        bits[self.defender_nodes, self.defender_columns] = actions[self.defender_start:]
         return bits
 
     def defender_strategy(self, distributions) -> DefenderStrategy:
-        graph = self.graph
-        probs = np.zeros((graph.n + 1, graph.n + 2))
-        for node in range(1, graph.n + 1):
-            probs[node, 0] = distributions[self.tag_index[node]][1]
-            probs[node, 1] = distributions[self.trap_index[node]][1]
-            for r in graph.relevance(node):
-                probs[node, 1 + r] = distributions[self.rule_index[(node, r)]][1]
+        probs = np.zeros((self.graph.n + 1, self.graph.n + 2))
+        probs[self.defender_nodes, self.defender_columns] = [
+            dist[1] for dist in distributions[self.defender_start:]
+        ]
         return DefenderStrategy(probs)
 
     def adversary_strategy(self, distributions) -> AdversaryStrategy:
@@ -232,33 +217,20 @@ class _Rollout:
         self.roster = roster
         self.params = params
         self.graph = graph
-        self.m = m = graph.n_stages
+        self.m = graph.n_stages
         self.ba = np.concatenate(([0.0], np.cumsum(params.beta_a)))
         self.bd = np.concatenate(([0.0], np.cumsum(params.beta_d)))
-        self.adv = np.zeros((graph.n + 1, m + 1), dtype=np.int64)
-        for v in range(graph.n + 1):
-            for j in range(1, m + 1):
-                self.adv[v, j] = graph.advance(v, j)
-        # defender block arrays
-        d0 = roster.defender_start
-        cost = []
-        for player in roster.players[d0:]:
-            if player.kind == "tag":
-                cost.append(params.tag_cost(graph, player.node))
-            elif player.kind == "trap":
-                cost.append(params.trap_cost(graph, player.node))
-            else:
-                cost.append(params.gamma[player.rule - 1])
-        self.def_cost = np.array(cost)
+        self.adv = graph.advance_table
+        # defender block arrays, indexed by player - defender_start
+        self.def_cost = params.cell_costs(graph)[roster.defender_nodes, roster.defender_columns]
         self.def_players_at = {
-            node: [i - d0 for i in roster.defender_players_at(node)]
-            for node in range(1, graph.n + 1)
+            node: np.flatnonzero(roster.defender_nodes == node) for node in range(1, graph.n + 1)
         }
 
     def armed_nodes(self, def_bits: np.ndarray) -> np.ndarray:
-        armed = np.zeros(self.graph.n + 1, dtype=bool)
-        for node in range(1, self.graph.n + 1):
-            armed[node] = bool(def_bits[self.def_players_at[node]].all())
+        """Per node id, whether every defender cell of the node is set."""
+        armed = np.arange(self.graph.n + 1) != SOURCE
+        armed[self.roster.defender_nodes[def_bits == 0]] = False
         return armed
 
     def follow(self, actions, armed, node: int, stage: int, seen: set[int]) -> _WalkInfo:

@@ -177,11 +177,10 @@ def build_ground_set(
     levels = normalize_levels(graph, levels)
     ground: list[GroundElement] = []
     if scheme == "component":
-        for node in range(1, graph.n + 1):
-            components = [1, 2] + [2 + r for r in graph.relevance(node)]
-            for comp in components:
-                for level in range(1, levels[comp - 1] + 1):
-                    ground.append((node, comp, level))
+        nodes, columns = graph.defender_cells
+        for node, column in zip(nodes.tolist(), columns.tolist()):
+            for level in range(1, levels[column] + 1):
+                ground.append((node, column + 1, level))
     elif scheme == "node":
         if len(set(levels)) != 1:
             raise ValidationError("the node scheme needs one shared level count")
@@ -231,10 +230,11 @@ class DefenderObjective:
         self.n_evaluations = 0
         self._chain = AbsorbingChain(self.graph, adversary)
         # (element, row, column) of every cell a ground element raises by one
-        # level; a whole-node bundle raises the tag, trap and relevant rules
+        # level; a whole-node bundle raises every cell of its node
+        nodes, columns = self.graph.defender_cells
         cells = np.array([
-            (idx, node, c - 1) for idx, (node, comp, _) in enumerate(self.ground)
-            for c in ([1, 2] + [2 + r for r in self.graph.relevance(node)] if comp == 0 else [comp])
+            (idx, node, column) for idx, (node, comp, _) in enumerate(self.ground)
+            for column in (columns[nodes == node] if comp == 0 else (comp - 1,))
         ], dtype=np.intp).reshape(-1, 3)
         self._cell_owner, self._cell_rows, self._cell_cols = cells.T
         self._cell_step = 1.0 / np.array(self.levels, dtype=float)[self._cell_cols]

@@ -65,9 +65,10 @@ def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowN
     for e in graph.vulnerable:  # E_lambda
         arcs.append((SOURCE, e))
         caps.append(math.inf)
-    for i in range(1, n + 1):  # split arcs
+    price = params.cell_costs(graph)
+    for i, tag_trap in enumerate((price[1:, 0] + price[1:, 1]).tolist(), start=1):  # split arcs
         arcs.append((i, i + n))
-        caps.append(abs(params.tag_cost(graph, i) + params.trap_cost(graph, i)))
+        caps.append(abs(tag_trap))
     for u, v in graph.edges:  # shifted original arcs
         if u == SOURCE:
             continue
@@ -190,8 +191,7 @@ class SingleStageEquilibrium:
     ``defender`` arms exactly the cut nodes with the log-linear closed-form
     probabilities.  ``diagnostics`` is "interior" when a nonnegative mixture
     satisfying the indifference condition exists, else "boundary" (the
-    dominant pure row plus the adversary's best response to it, flagged via
-    ``infeasible_mixture``).
+    dominant pure row plus the adversary's best response to it).
     """
 
     cut: MinCutResult
@@ -205,7 +205,6 @@ class SingleStageEquilibrium:
     u_d: float
     u_a: float
     diagnostics: str
-    infeasible_mixture: bool
     product_spread: float
     notes: tuple[str, ...]
 
@@ -224,42 +223,45 @@ class SingleStageEquilibrium:
         defender = self.defender if defender is None else defender
         pi = self.pi if pi is None else pi
         beta, alpha = params.beta_d[0], params.alpha_d
+        detection = defender.detection_vector(graph)
+        price = params.cell_costs(graph)
         total = 0.0
         for node, weight in pi.items():
-            row, rules = defender.probs[node], self.relevance[node]
-            prod = _product(row, rules)
-            spent = _spending(graph, params, node, row, rules)
+            prod = detection[node]
+            spent = _spending(price[node], defender.probs[node], _columns(graph, node))
             total += weight * (prod * alpha + (1.0 - prod) * beta + spent)
         return total
 
     def matrix_adversary_value(
-        self, params: GameParams, node: int, defender: DefenderStrategy | None = None
+        self,
+        graph: InformationFlowGraph,
+        params: GameParams,
+        node: int,
+        defender: DefenderStrategy | None = None,
     ) -> float:
         """Adversary payoff of the attack path through ``node``."""
         defender = self.defender if defender is None else defender
-        prod = _product(defender.probs[node], self.relevance[node])
+        prod = defender.detection_vector(graph)[node]
         return (1.0 - prod) * params.beta_a[0] + prod * params.alpha_a
 
 
-def _product(row, rules) -> float:
-    """Detection product of one node's defender row: tag, trap and its rules."""
-    return row[0] * row[1] * math.prod(row[1 + r] for r in rules)
+def _columns(graph: InformationFlowGraph, node: int) -> list[int]:
+    """The defender columns of ``node``'s cells: tag, trap, then its rules."""
+    nodes, columns = graph.defender_cells
+    return columns[nodes == node].tolist()
 
 
-def _spending(graph: InformationFlowGraph, params: GameParams, node: int, row, rules) -> float:
-    """Expected defense spending at ``node`` under its defender row (signed)."""
-    return (
-        row[0] * params.tag_cost(graph, node)
-        + row[1] * params.trap_cost(graph, node)
-        + math.fsum(row[1 + r] * params.gamma[r - 1] for r in rules)
-    )
+def _spending(price, row, columns) -> float:
+    """Expected defense spending of one node (signed): ``row`` and ``price`` are
+    its defender row and cell prices, ``columns`` its cells, tag and trap first."""
+    tag, trap, *rules = columns
+    return float(row[tag] * price[tag] + row[trap] * price[trap]
+                 + math.fsum(row[c] * price[c] for c in rules))
 
 
-def _names(components) -> str:
-    """Readable names of defender row components: 1 tag, 2 trap, 2 + r rule r."""
-    return ", ".join(
-        {1: "tag", 2: "trap"}.get(comp, f"rule {comp - 2}") for comp in components
-    )
+def _names(columns) -> str:
+    """Readable names of defender columns: 0 tag, 1 trap, 1 + r rule r."""
+    return ", ".join({0: "tag", 1: "trap"}.get(c, f"rule {c - 1}") for c in columns)
 
 
 def _bfs_path(graph: InformationFlowGraph, start: int, goals: set[int], blocked: set[int]):
@@ -354,8 +356,10 @@ def solve_matrix_game(
 
     beta, alpha = params.beta_d[0], params.alpha_d
     denom = beta - alpha  # < 0
+    price = dict(zip(nodes, params.cell_costs(graph)[list(nodes)]))
+    columns = {node: _columns(graph, node) for node in nodes}
     armed = (1.0,) * (graph.n + 2)  # every component on: the full spending
-    costs = {node: _spending(graph, params, node, armed, relevance[node]) for node in nodes}
+    costs = {node: _spending(price[node], armed, columns[node]) for node in nodes}
 
     # (b) indifference mixture
     t = {node: beta - alpha - costs[node] for node in nodes}
@@ -394,33 +398,26 @@ def solve_matrix_game(
     products = {}
     clamp_notes = []
     for node in nodes:
-        components = [1, 2] + [2 + r for r in relevance[node]]
         log_ratios = {}
-        for comp in components:
-            if comp == 1:
-                num = params.tag_cost(graph, node)
-            elif comp == 2:
-                num = params.trap_cost(graph, node)
-            else:
-                num = params.gamma[comp - 3]
-            ratio = num / denom
+        for c in columns[node]:
+            ratio = float(price[node][c]) / denom
             if ratio <= 0.0:
                 raise DegenerateEquilibrium(
-                    f"cost ratio for component {comp} at node {node} is {ratio!r} <= 0 "
+                    f"cost ratio for component {c + 1} at node {node} is {ratio!r} <= 0 "
                     "(a zero-cost component cannot be mixed)"
                 )
-            log_ratios[comp] = math.log(ratio)
-        free, clamped = components, []
+            log_ratios[c] = math.log(ratio)
+        free, clamped = columns[node], []
         while len(free) >= 2:
-            s = math.fsum(log_ratios[comp] for comp in free) / (len(free) - 1)
-            over = [comp for comp in free if math.exp(s - log_ratios[comp]) > 1.0 + 1e-9]
+            s = math.fsum(log_ratios[c] for c in free) / (len(free) - 1)
+            over = [c for c in free if math.exp(s - log_ratios[c]) > 1.0 + 1e-9]
             if not over:
                 break
             clamped = sorted(clamped + over)
-            free = [comp for comp in free if comp not in over]
+            free = [c for c in free if c not in over]
         # a clamped component may stay at 1 only while its marginal gain is
         # nonnegative: the product of the others, exp(s), is at least its ratio
-        if len(free) < 2 or any(s < log_ratios[comp] for comp in clamped):
+        if len(free) < 2 or any(s < log_ratios[c] for c in clamped):
             notes.append(
                 f"node {node}: clamping {_names(clamped)} to probability 1 leaves no "
                 f"interior solution for {_names(free) or 'no other component'}"
@@ -428,10 +425,10 @@ def solve_matrix_game(
             return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
         if clamped:
             clamp_notes.append(f"node {node}: {_names(clamped)} clamped to probability 1")
-        for comp in free:
-            probs[node, comp - 1] = min(math.exp(s - log_ratios[comp]), 1.0)
-        for comp in clamped:
-            probs[node, comp - 1] = 1.0
+        for c in free:
+            probs[node, c] = min(math.exp(s - log_ratios[c]), 1.0)
+        for c in clamped:
+            probs[node, c] = 1.0
         products[node] = math.exp(s)
     notes += clamp_notes
 
@@ -448,7 +445,7 @@ def solve_matrix_game(
         pi[i] * ((1.0 - products[i]) * params.beta_a[0] + products[i] * params.alpha_a)
         for i in nodes
     )
-    spent = {node: _spending(graph, params, node, probs[node], relevance[node]) for node in nodes}
+    spent = {node: _spending(price[node], probs[node], columns[node]) for node in nodes}
     u_d = math.fsum(
         pi[i] * (products[i] * params.alpha_d + (1.0 - products[i]) * beta + spent[i])
         for i in nodes
@@ -465,7 +462,6 @@ def solve_matrix_game(
         u_d=u_d,
         u_a=u_a,
         diagnostics="interior",
-        infeasible_mixture=False,
         product_spread=spread,
         notes=tuple(notes),
     )
@@ -476,18 +472,17 @@ def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
     all_detect = all(t[i] < 0 for i in nodes)
     probs = np.zeros((graph.n + 1, graph.n + 2))
     if all_detect:
-        for node in nodes:
-            probs[node, 0] = 1.0
-            probs[node, 1] = 1.0
-            for r in relevance[node]:
-                probs[node, 1 + r] = 1.0
+        cell_nodes, cell_columns = graph.defender_cells
+        on = np.isin(cell_nodes, nodes)
+        probs[cell_nodes[on], cell_columns[on]] = 1.0
         notes.append("all indifference coefficients negative: defender plays the Detected row")
     else:
         reason = "all indifference coefficients positive: " if all(t[i] > 0 for i in nodes) else ""
         notes.append(reason + "defender plays the Not-detected row")
     defender = DefenderStrategy(probs)
     br = respond.adversary_best_response(graph, params, defender)
-    products = {node: float(_product(probs[node], relevance[node])) for node in nodes}
+    detection = defender.detection_vector(graph)
+    products = {node: float(detection[node]) for node in nodes}
     if br.dropped:
         pi: dict[int, float] = {}
         paths: dict[int, tuple[int, ...]] = {}
@@ -518,7 +513,6 @@ def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
         u_d=u_d,
         u_a=u_a,
         diagnostics="boundary",
-        infeasible_mixture=True,
         product_spread=spread,
         notes=tuple(notes),
     )

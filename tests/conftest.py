@@ -146,7 +146,8 @@ def oracle_separator_min_cost(graph, params):
     by exhaustive enumeration over all 2^n subsets (single-stage graphs)."""
     graph = ensure_augmented(graph)
     n = graph.n
-    caps = [abs(params.tag_cost(graph, i) + params.trap_cost(graph, i)) for i in range(1, n + 1)]
+    caps = [abs(params.c1 * graph.traffic[i - 1] + params.c2 * graph.traffic[i - 1])
+            for i in range(1, n + 1)]
     dest = set(graph.stages[0])
     succ = graph.successors
     best = math.inf
@@ -438,21 +439,32 @@ def staged_reachability_ok(graph):
     return True
 
 
+def oracle_detection_prob(node, defender, relevance):
+    """Tag * trap * product of the relevant rule probabilities at ``node``."""
+    if node == SOURCE:
+        return 0.0
+    row = defender.probs[node]
+    p = row[0] * row[1]
+    for r in relevance:
+        p *= row[1 + r]
+    return float(p)
+
+
 def oracle_detection_vector(defender, graph):
-    """Per-node detection probability, one ``detection_prob`` call per node."""
+    """Per-node detection probability, one ``oracle_detection_prob`` call per node."""
     d = np.zeros(graph.n + 1)
     for i in range(1, graph.n + 1):
-        d[i] = game.detection_prob(i, defender, graph.relevance(i))
+        d[i] = oracle_detection_prob(i, defender, graph.relevance(i))
     return d
 
 
 def oracle_strategy_costs(graph, params, defender):
     """Tag, trap and rule cost terms as three term-by-term ``fsum`` calls."""
     tag = math.fsum(
-        defender.probs[i, 0] * params.tag_cost(graph, i) for i in range(1, graph.n + 1)
+        defender.probs[i, 0] * (params.c1 * graph.traffic[i - 1]) for i in range(1, graph.n + 1)
     )
     trap = math.fsum(
-        defender.probs[i, 1] * params.trap_cost(graph, i) for i in range(1, graph.n + 1)
+        defender.probs[i, 1] * (params.c2 * graph.traffic[i - 1]) for i in range(1, graph.n + 1)
     )
     rule = math.fsum(
         defender.probs[i, 1 + r] * params.gamma[r - 1]

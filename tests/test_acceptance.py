@@ -216,7 +216,7 @@ def test_criterion_5_single_stage_epsilon_ne():
                         g, p, defender=eq.defender.with_entry(node, comp, x))
                     worst_gain = max(worst_gain, dev - base)
                     assert dev - base <= 1e-6
-        values = {i: eq.matrix_adversary_value(p, i) for i in eq.nodes}
+        values = {i: eq.matrix_adversary_value(g, p, i) for i in eq.nodes}
         base_a = sum(eq.pi[i] * values[i] for i in eq.nodes)
         for i in eq.nodes:
             for j in eq.nodes:

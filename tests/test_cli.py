@@ -254,6 +254,50 @@ def test_cli_bad_params_file_fails_with_stage(tmp_path, graph_file, capsys, text
         assert f"field={field!r}" in err
 
 
+def _break_graph(raw, field):
+    if field == "edges":
+        raw["edges"][0] = ["a", 2]
+    elif field == "nodes.id":
+        raw["nodes"][0]["id"] = "one"
+    else:
+        raw["rule_relevance"]["1"] = ["x"]
+
+
+@pytest.mark.parametrize("field", ["edges", "nodes.id", "rule_relevance"])
+def test_cli_non_integer_graph_entry_fails_with_stage(tmp_path, graph_file, capsys, field):
+    raw = json.loads(graph_file.read_text())
+    _break_graph(raw, field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = run_cli(["solve-single", bad, "--out-dir", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [load-graph]")
+    assert f"field={field!r}" in err
+
+
+@pytest.mark.parametrize("side, field", [("adversary", "probs"), ("defender", "moves")])
+def test_cli_non_numeric_strategy_entry_fails_with_stage(tmp_path, graph_file, capsys, side,
+                                                         field):
+    graph = ifg.load(graph_file)
+    strategy = tmp_path / "strategy.json"
+    if field == "probs":
+        game.save_defender(game.DefenderStrategy.zeros(graph), strategy)
+        raw = json.loads(strategy.read_text())
+        raw["probs"][1][0] = "x"
+    else:
+        game.save_adversary(game.AdversaryStrategy.uniform(graph), strategy)
+        raw = json.loads(strategy.read_text())
+        raw["moves"]["0"]["1"]["x"] = 0.0
+    strategy.write_text(json.dumps(raw))
+    code = run_cli(["best-response", graph_file, "--side", side, "--strategy", strategy,
+                    "--out-dir", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [load-strategy]")
+    assert f"field={field!r}" in err
+
+
 def test_cli_out_dir_naming_a_file_fails_with_stage(tmp_path, capsys):
     not_a_dir = tmp_path / "taken"
     not_a_dir.write_text("")

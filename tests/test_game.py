@@ -9,6 +9,7 @@ from diftgame.game import DROP
 
 from conftest import (
     exhaustive_pure_defender_average,
+    oracle_detection_prob,
     oracle_detection_vector,
     oracle_monte_carlo,
     oracle_strategy_costs,
@@ -46,9 +47,12 @@ def test_params_sign_constraints_enforced():
 def test_params_derived_costs_nonpositive():
     g = ifg.make_graph(2, [(1, 2)], [[2]], [1], traffic=[0.3, 0.7])
     p = game.GameParams(alpha_a=-1, beta_a=(1,), alpha_d=1, beta_d=(-1,), c1=-2, c2=-3, gamma=(-1, -1))
-    assert p.tag_cost(g, 1) == pytest.approx(-0.6)
-    assert p.trap_cost(g, 2) == pytest.approx(-2.1)
-    assert all(p.tag_cost(g, i) <= 0 and p.trap_cost(g, i) <= 0 for i in (1, 2))
+    costs = p.cell_costs(g)
+    assert costs.shape == (3, 4)
+    assert costs[1, 0] == pytest.approx(-0.6)
+    assert costs[2, 1] == pytest.approx(-2.1)
+    assert costs[1, 2:].tolist() == [-1.0, -1.0]
+    assert np.all(costs <= 0) and np.all(costs[0] == 0)
 
 
 def test_params_scaled_touches_only_costs():
@@ -64,25 +68,29 @@ def test_params_scaled_touches_only_costs():
 
 
 def test_detection_prob_zero_strategy():
-    g = chain_instance()
-    assert game.detection_prob(2, game.DefenderStrategy.zeros(g), (1, 2)) == 0.0
+    g = chain_instance(relevance=[(), (1, 2), ()])
+    d = game.DefenderStrategy.zeros(g)
+    assert oracle_detection_prob(2, d, (1, 2)) == 0.0
+    assert d.detection_vector(g)[2] == 0.0
 
 
 def test_detection_prob_empty_relevance_is_tag_times_trap():
     g = chain_instance()
     d = game.DefenderStrategy.zeros(g).with_entry(2, 1, 1.0).with_entry(2, 2, 1.0)
-    assert game.detection_prob(2, d, ()) == 1.0
+    assert oracle_detection_prob(2, d, ()) == 1.0
+    assert d.detection_vector(g)[2] == 1.0
 
 
 def test_detection_prob_product():
-    g = chain_instance()
+    g = chain_instance(relevance=[(), (1,), ()])
     d = (
         game.DefenderStrategy.zeros(g)
         .with_entry(2, 1, 0.5)
         .with_entry(2, 2, 0.5)
         .with_entry(2, 2 + 1, 0.5)
     )
-    assert game.detection_prob(2, d, (1,)) == pytest.approx(0.125)
+    assert oracle_detection_prob(2, d, (1,)) == pytest.approx(0.125)
+    assert d.detection_vector(g)[2] == pytest.approx(0.125)
 
 
 def test_defender_strategy_source_row_must_be_zero():
@@ -283,7 +291,7 @@ def test_pure_profile_first_node_armed():
     bits[1, 2] = 1.0  # rule 1 relevant at node 1
     u_d, u_a = game.evaluate_pure_profile(g, p, bits, (0, 1, 2, 3))
     assert u_a == p.alpha_a
-    cost = p.tag_cost(g, 1) + p.trap_cost(g, 1) + p.gamma[0]
+    cost = p.cell_costs(g)[1, :3].sum()
     assert u_d == pytest.approx(p.alpha_d + cost)
 
 

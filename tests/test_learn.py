@@ -172,11 +172,11 @@ def test_expected_swap_utility_defender_off_path_is_flat(rng):
     p = random_params(rng, 3, 1)
     roster = PlayerRoster(g)
     profile = np.zeros(len(roster), dtype=np.int64)
-    idx = roster.tag_index[2]  # node 2 is off every walk
+    idx = roster.defender_index[(2, 0)]  # node 2's tag; node 2 is off every walk
     for swapped in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
         got = learn.expected_swap_utility(roster, idx, swapped, profile, g, p)
         base = learn.expected_swap_utility(roster, idx, [1.0, 0.0], profile, g, p)
-        assert got == pytest.approx(base + swapped[1] * p.tag_cost(g, 2), abs=1e-12)
+        assert got == pytest.approx(base + swapped[1] * p.cell_costs(g)[2, 0], abs=1e-12)
 
 
 def test_expected_swap_utility_matches_sampling_oracle(rng):
@@ -227,7 +227,7 @@ def test_run_dominant_path_attracts_all_mass():
     player = roster.players[roster.move_index[(1, 1)]]
     assert player.actions == (2, DROP)
     assert move[0] > 0.99  # adversary walks to the destination
-    trap = res.distributions[roster.trap_index[1]]
+    trap = res.distributions[roster.defender_index[(1, 1)]]
     assert trap[1] < 0.05  # the trap is priced out
     assert res.trace[-1, 2] == pytest.approx(p.beta_a[0], rel=0.2)
 

@@ -190,7 +190,7 @@ def test_marginal_gain_off_path_is_pure_cost(rng):
     for element, (node, comp, _) in enumerate(objective.ground):
         if node != 2:
             continue
-        expected = {1: p.tag_cost(g, 2), 2: p.trap_cost(g, 2)}.get(comp, p.gamma[comp - 3] if comp > 2 else None)
+        expected = p.cell_costs(g)[2, comp - 1]
         gain = respond.marginal_gain(objective, set(), element)
         assert gain == pytest.approx(expected / 2.0, abs=1e-12)
 
