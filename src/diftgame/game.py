@@ -5,10 +5,9 @@ trap (column 1), and rule r (column 1 + r).  A flow is detected at a node
 when the tag, the trap, and every rule relevant at that node fire together,
 so the per-visit detection probability is the product of those cells, the
 ones ``InformationFlowGraph.defender_cells`` lists; ``GameParams.cell_costs``
-prices every cell.  The adversary
-picks, per (node, stage), a distribution over out-neighbors plus a drop
-action; arriving at a stage-j destination while in stage j forces the stage
-to advance.
+prices every cell.  The adversary picks, per (node, stage), a distribution
+over out-neighbors plus a drop action; arriving at a stage-j destination
+while in stage j forces the stage to advance.
 
 These evaluators share these semantics:
 

@@ -411,23 +411,21 @@ def load(path) -> InformationFlowGraph:
             rel = rel_raw.get(str(i), [])
             if not isinstance(rel, list):
                 raise ParseError(f"rule_relevance[{i}] must be a list", field="rule_relevance", path=path)
-            relevance.append(tuple(sorted(ints(rel, f"rule_relevance[{i}] must list integers",
-                                               "rule_relevance"))))
+            relevance.append(tuple(sorted(ints(rel, "rule indices must be integers", "rule_relevance"))))
         relevance = tuple(relevance)
     else:
         relevance = (tuple(range(1, n + 1)),) * n
 
-    edges = []
-    for item in need("edges", list):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
-        edges.append(tuple(ints(item, "edge endpoints must be integers", "edges")))
+    pairs = need("edges", list)
+    if not all(isinstance(item, (list, tuple)) and len(item) == 2 for item in pairs):
+        raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
+    ends = ints([v for item in pairs for v in item], "edge endpoints must be integers", "edges")
 
     graph = InformationFlowGraph(
         n=n,
         labels=tuple(labels),
         traffic=tuple(traffic),
-        edges=tuple(sorted(set(edges))),
+        edges=tuple(sorted(set(zip(ends[::2], ends[1::2])))),
         stages=tuple(stages),
         vulnerable=vulnerable,
         rule_relevance=relevance,
