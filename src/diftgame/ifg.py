@@ -10,6 +10,7 @@ may overlap across stages and the graph may contain cycles.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -92,9 +93,17 @@ class InformationFlowGraph:
         column 1 + r for each relevant rule r, in ``relevance`` order.  A
         flow is detected at a node only when all of its cells fire together.
         """
-        nodes = np.repeat(np.arange(1, self.n + 1), [2 + len(r) for r in self.rule_relevance])
-        columns = np.array([c for rules in self.rule_relevance for c in (0, 1, *(1 + r for r in rules))],
-                           dtype=np.intp)
+        sizes = np.array([2 + len(r) for r in self.rule_relevance], dtype=np.intp)
+        nodes = np.repeat(np.arange(1, self.n + 1), sizes)
+        tags = np.cumsum(sizes) - sizes
+        is_rule = np.ones(nodes.size, dtype=bool)
+        is_rule[tags] = is_rule[tags + 1] = False
+        rules = np.fromiter(itertools.chain.from_iterable(self.rule_relevance), dtype=np.intp,
+                            count=nodes.size - 2 * self.n)
+        rules += 1
+        columns = np.zeros(nodes.size, dtype=np.intp)
+        columns[tags + 1] = 1
+        columns[is_rule] = rules
         nodes.setflags(write=False)
         columns.setflags(write=False)
         return nodes, columns
@@ -107,12 +116,10 @@ class InformationFlowGraph:
         row 0 (the pseudo-source) is all padding.
         """
         nodes, columns = self.defender_cells
-        is_rule = columns >= 2
-        first = np.searchsorted(nodes, nodes)  # each cell's node's first cell
-        slot = np.arange(nodes.size) - first - 2
-        width = max((len(r) for r in self.rule_relevance), default=0)
-        table = np.full((self.n + 1, width), self.n + 2, dtype=np.intp)
-        table[nodes[is_rule], slot[is_rule]] = columns[is_rule]
+        n_rules = np.bincount(nodes, minlength=self.n + 1) - 2
+        table = np.full((self.n + 1, max(n_rules.max(), 0)), self.n + 2, dtype=np.intp)
+        # a boolean mask fills in row-major order, which is the node-major cell order
+        table[np.arange(table.shape[1]) < n_rules[:, None]] = columns[columns >= 2]
         table.setflags(write=False)
         return table
 
