@@ -93,17 +93,19 @@ class GameParams:
     def n_stages(self) -> int:
         return len(self.beta_a)
 
+    def tag_trap_costs(self, graph: InformationFlowGraph) -> tuple[np.ndarray, np.ndarray]:
+        """Tag and trap price of nodes 1..n: ``c1`` and ``c2`` times the node's traffic."""
+        traffic = np.asarray(graph.traffic, dtype=float)
+        return self.c1 * traffic, self.c2 * traffic
+
     def cell_costs(self, graph: InformationFlowGraph) -> np.ndarray:
         """Price of every defender cell, shaped like a defender matrix (all <= 0).
 
-        Column 0 (tag) costs ``c1`` times the node's traffic, column 1 (trap)
-        ``c2`` times it, and column 1 + r (rule r) ``gamma[r - 1]``; row 0,
-        the pseudo-source, is zero.
+        Columns 0 and 1 hold the ``tag_trap_costs`` and column 1 + r (rule r)
+        ``gamma[r - 1]``; row 0, the pseudo-source, is zero.
         """
-        traffic = np.asarray(graph.traffic, dtype=float)
         costs = np.zeros((graph.n + 1, graph.n + 2))
-        costs[1:, 0] = self.c1 * traffic
-        costs[1:, 1] = self.c2 * traffic
+        costs[1:, 0], costs[1:, 1] = self.tag_trap_costs(graph)
         costs[1:, 2:] = self.gamma
         return costs
 

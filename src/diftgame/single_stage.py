@@ -65,10 +65,10 @@ def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowN
     for e in graph.vulnerable:  # E_lambda
         arcs.append((SOURCE, e))
         caps.append(math.inf)
-    price = params.cell_costs(graph)
-    for i, tag_trap in enumerate((price[1:, 0] + price[1:, 1]).tolist(), start=1):  # split arcs
+    tag, trap = params.tag_trap_costs(graph)
+    for i, cost in enumerate((tag + trap).tolist(), start=1):  # split arcs
         arcs.append((i, i + n))
-        caps.append(abs(tag_trap))
+        caps.append(abs(cost))
     for u, v in graph.edges:  # shifted original arcs
         if u == SOURCE:
             continue
