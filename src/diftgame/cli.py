@@ -14,13 +14,12 @@ The default output directory is taken from ``DIFTGAME_OUTPUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import experiments, game, generate, ifg, learn, respond, single_stage
-from .errors import DiftGameError, ParseError
+from .errors import DiftGameError
 
 
 class _StageError(Exception):
@@ -59,43 +58,25 @@ def load_params_file(path, graph: ifg.InformationFlowGraph) -> game.GameParams:
     """JSON parameter block; ``gamma`` may be a scalar broadcast to all rules.
 
     Raises ParseError, naming the field and ``path``, for malformed JSON, a
-    missing field, or a value that is not a number (or a list of numbers).
+    missing field, or a value that is not a JSON number (or a list of them).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
-    if not isinstance(raw, dict):
-        raise ParseError("expected a JSON object", path=path)
+    raw = ifg.read_json(path)
 
-    def number(field, value):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"expected a number, got {value!r}", field=field, path=path) from exc
+    def number(field):
+        return ifg.read_number(ifg.need(raw, field, object, path), field, path)
 
-    def need(field):
-        if field not in raw:
-            raise ParseError("missing required field", field=field, path=path)
-        return raw[field]
-
-    def numbers(field, value):
-        if not isinstance(value, list):
-            raise ParseError(f"expected a list of numbers, got {value!r}", field=field, path=path)
-        return tuple(number(field, v) for v in value)
+    def numbers(field, values):
+        return tuple(ifg.read_number(v, field, path) for v in values)
 
     gamma = raw.get("gamma", -50.0)
-    if isinstance(gamma, (int, float)):
-        gamma = [gamma] * graph.n
     return game.GameParams(
-        alpha_a=number("alpha_a", need("alpha_a")),
-        beta_a=numbers("beta_a", need("beta_a")),
-        alpha_d=number("alpha_d", need("alpha_d")),
-        beta_d=numbers("beta_d", need("beta_d")),
-        c1=number("c1", need("c1")),
-        c2=number("c2", need("c2")),
-        gamma=numbers("gamma", gamma),
+        alpha_a=number("alpha_a"),
+        beta_a=numbers("beta_a", ifg.need(raw, "beta_a", list, path)),
+        alpha_d=number("alpha_d"),
+        beta_d=numbers("beta_d", ifg.need(raw, "beta_d", list, path)),
+        c1=number("c1"),
+        c2=number("c2"),
+        gamma=numbers("gamma", gamma if isinstance(gamma, list) else [gamma] * graph.n),
     )
 
 
@@ -122,11 +103,11 @@ def _load_graph(path) -> ifg.InformationFlowGraph:
     return graph
 
 
-def _int_list(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _float_list(text: str) -> list[float]:
+def float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
@@ -135,7 +116,7 @@ def _float_list(text: str) -> list[float]:
 
 def _cmd_gen_graph(args) -> int:
     out = _out_dir(args)
-    dests = _int_list(args.dest_per_stage)
+    dests = args.dest_per_stage
     if len(dests) == 1:
         dests = dests * args.stages
     graph = _run_stage(
@@ -265,15 +246,14 @@ def _cmd_sweep_cost(args) -> int:
     out = _out_dir(args)
     graph = _load_graph(args.graph)
     params, resolved = _params_for(args, graph)
-    factors = _float_list(args.factors)
     cfg = learn.LearnerConfig(eta=args.eta, eps=args.eps, max_iters=args.max_iters, seed=args.seed)
     sweep = _run_stage(
         "sweep-cost", experiments.sweep_cost,
-        graph, params, factors, cfg, args.sim_trials, args.seed,
+        graph, params, args.factors, cfg, args.sim_trials, args.seed,
     )
     _write_text(out / "sweep.csv", sweep.to_csv())
     _write_manifest(out, "sweep-cost", {
-        "graph": str(args.graph), "params": resolved, "factors": factors,
+        "graph": str(args.graph), "params": resolved, "factors": args.factors,
         "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters,
         "seed": args.seed, "sim_trials": args.sim_trials,
     }, ["sweep.csv"])
@@ -302,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--dest-per-stage", default="2",
+    p.add_argument("--dest-per-stage", type=int_list, default="2",
                    help="comma-separated destination counts (one value broadcasts)")
     p.add_argument("--entries", type=int, default=1)
     p.add_argument("--density", type=float, default=0.08)
@@ -348,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-cost", help="defender utility vs. defense cost scale")
     common(p); with_params(p)
     p.add_argument("graph")
-    p.add_argument("--factors", default="0.01,0.1,0.5,1,3,6,10")
+    p.add_argument("--factors", type=float_list, default="0.01,0.1,0.5,1,3,6,10")
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=50_000)
@@ -364,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.n_trials < 1:
         parser.error("--n-trials must be a positive integer")
-    if args.command == "sweep-cost" and not _float_list(args.factors):
+    if args.command == "sweep-cost" and not args.factors:
         parser.error("--factors must list at least one positive factor")
     try:
         return args.fn(args)

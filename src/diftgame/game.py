@@ -31,7 +31,6 @@ the chain is tested against on small or acyclic instances.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -39,7 +38,16 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidPath, ParseError, TruncationError, ValidationError
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented, write_json
+from .ifg import (
+    SOURCE,
+    InformationFlowGraph,
+    ensure_augmented,
+    need,
+    read_key,
+    read_json,
+    read_number,
+    write_json,
+)
 
 DROP = -1  # adversary action: terminate the flow
 
@@ -346,36 +354,35 @@ def save_adversary(strategy: AdversaryStrategy, path) -> None:
 
 
 def load_strategy(path):
-    """Load either strategy kind; the file's ``kind`` field decides."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
-    if not isinstance(raw, dict):
-        raise ParseError("expected a JSON object", path=path)
+    """Load either strategy kind; the file's ``kind`` field decides.
+
+    Raises ParseError, naming the field and ``path``, for malformed JSON, a
+    missing field, or a value of the wrong kind.
+    """
+    raw = read_json(path)
     kind = raw.get("kind")
     if kind == "defender":
-        if "probs" not in raw:
-            raise ParseError("missing required field", field="probs", path=path)
-        try:
-            probs = np.asarray(raw["probs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("expected a matrix of numbers", field="probs", path=path) from exc
-        return DefenderStrategy(probs)
+        rows = need(raw, "probs", list, path)
+        if not all(isinstance(row, list) and len(row) == len(rows) + 1 for row in rows):
+            raise ParseError("expected n + 1 rows of n + 2 numbers", field="probs", path=path)
+        return DefenderStrategy([[read_number(p, "probs", path) for p in row] for row in rows])
     if kind == "adversary":
-        if "moves" not in raw:
-            raise ParseError("missing required field", field="moves", path=path)
+        def entries(value):
+            if not isinstance(value, dict):
+                raise ParseError("expected node -> stage -> action -> probability maps",
+                                 field="moves", path=path)
+            return value.items()
+
+        def key(text):
+            return read_key(text, "moves", path)
+
         moves = {}
-        try:
-            for v_key, by_stage in raw["moves"].items():
-                for j_key, dist in by_stage.items():
-                    moves[(int(v_key), int(j_key))] = {
-                        (DROP if a == "drop" else int(a)): float(p) for a, p in dist.items()
-                    }
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError("expected node -> stage -> action -> probability maps keyed by "
-                             "integer ids", field="moves", path=path) from exc
+        for v, by_stage in entries(need(raw, "moves", dict, path)):
+            for j, dist in entries(by_stage):
+                moves[(key(v), key(j))] = {
+                    (DROP if a == "drop" else key(a)): read_number(p, "moves", path)
+                    for a, p in entries(dist)
+                }
         return AdversaryStrategy(moves)
     raise ParseError(f"unknown strategy kind {kind!r}", field="kind", path=path)
 

@@ -296,7 +296,9 @@ def ensure_augmented(graph: InformationFlowGraph) -> InformationFlowGraph:
 #     "fractional_traffic": true,                  # optional, default false
 #     "augmented": false                           # optional, default false
 #   }
-# Node ids must be exactly 1..n (0 appears only in augmented files).
+# Node ids must be exactly 1..n (0 appears only in augmented files).  Ids are
+# JSON integers, written as decimal strings only as object keys; duplicate ids
+# collapse as in make_graph.
 # ---------------------------------------------------------------------------
 
 
@@ -363,83 +365,111 @@ def _matrix_chunks(matrix: np.ndarray):
     yield "\n ]" if len(matrix) else "[]"
 
 
-def load(path) -> InformationFlowGraph:
+def read_json(path) -> dict:
+    """Parse the JSON file at ``path``, which must hold one JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("expected a JSON object", path=path)
+    return raw
 
-    def need(field_name, kind):
-        if field_name not in raw:
-            raise ParseError("missing required field", field=field_name, path=path)
-        value = raw[field_name]
-        if not isinstance(value, kind):
-            raise ParseError(f"expected {kind.__name__}, got {type(value).__name__}", field=field_name, path=path)
-        return value
 
-    def ints(values, message, field_name):
+def need(raw: dict, field: str, kind, path):
+    """``raw[field]``, which must be present and an instance of ``kind``."""
+    if field not in raw:
+        raise ParseError("missing required field", field=field, path=path)
+    value = raw[field]
+    if not isinstance(value, kind):
+        raise ParseError(f"expected {kind.__name__}, got {type(value).__name__}", field=field, path=path)
+    return value
+
+
+def read_ids(values, field: str, path) -> list[int]:
+    """A JSON list of node, stage or rule ids, each a JSON integer.
+
+    Nothing is truncated: a bool, a float or a string raises ParseError
+    naming ``field``.
+    """
+    if not isinstance(values, list):
+        raise ParseError(f"expected a list of ids, got {type(values).__name__}", field=field, path=path)
+    # exact types, because a bool is an int and isinstance would admit it
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ParseError(f"expected an integer id, got {bad!r}", field=field, path=path)
+    return values
+
+
+def read_key(key: str, field: str, path) -> int:
+    """An id written as a JSON object key, which must be its decimal text."""
+    if not (key.isascii() and key.isdecimal()):
+        raise ParseError(f"expected an integer id, got {key!r}", field=field, path=path)
+    return int(key)
+
+
+def read_number(value, field: str, path) -> float:
+    """A JSON number as a float.
+
+    A bool, a string or an integer beyond the float range raises ParseError
+    naming ``field``.
+    """
+    if type(value) in (int, float):
         try:
-            return [int(v) for v in values]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(message, field=field_name, path=path) from exc
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"expected a number, got {value!r}", field=field, path=path)
 
-    nodes = need("nodes", list)
-    for rec in nodes:
-        if not isinstance(rec, dict) or "id" not in rec:
-            raise ParseError("each node record needs an 'id'", field="nodes", path=path)
-    ids = ints([rec["id"] for rec in nodes], "node ids must be integers", "nodes.id")
-    labels = [str(rec.get("label", f"s{rec['id']}")) for rec in nodes]
-    try:
-        traffic = [float(rec.get("traffic", 0.0)) for rec in nodes]
-    except (TypeError, ValueError) as exc:
-        raise ParseError("node traffic must be a number", field="nodes.traffic", path=path) from exc
-    n = len(ids)
-    if sorted(ids) != list(range(1, n + 1)):
+
+def load(path) -> InformationFlowGraph:
+    """Read a graph file; ids collapse and sort as in ``make_graph``.
+
+    Raises ParseError, naming the field and ``path``, for malformed JSON, a
+    missing field, or a value of the wrong kind.
+    """
+    raw = read_json(path)
+
+    def flag(field):
+        return field in raw and need(raw, field, bool, path)
+
+    nodes = need(raw, "nodes", list, path)
+    if not all(isinstance(rec, dict) and "id" in rec for rec in nodes):
+        raise ParseError("each node record needs an 'id'", field="nodes", path=path)
+    n = len(nodes)
+    if sorted(read_ids([rec["id"] for rec in nodes], "nodes.id", path)) != list(range(1, n + 1)):
         raise ParseError("node ids must be exactly 1..n", field="nodes.id", path=path)
-    order = sorted(range(n), key=lambda k: ids[k])
-    labels = [labels[k] for k in order]
-    traffic = [traffic[k] for k in order]
+    nodes = sorted(nodes, key=lambda rec: rec["id"])
+    labels = [rec.get("label", f"s{i}") for i, rec in enumerate(nodes, start=1)]
+    if not all(isinstance(label, str) for label in labels):
+        raise ParseError("node labels must be strings", field="nodes.label", path=path)
+    traffic = [read_number(rec.get("traffic", 0.0), "nodes.traffic", path) for rec in nodes]
 
-    stages_raw = need("stages", list)
-    stages = []
-    for j, dest in enumerate(stages_raw, start=1):
-        if not isinstance(dest, list):
-            raise ParseError(f"stage {j} must be a list of node ids", field="stages", path=path)
-        stages.append(tuple(sorted(ints(dest, f"stage {j} contains a non-integer entry", "stages"))))
-
-    vulnerable = tuple(sorted(ints(need("vulnerable", list), "vulnerable entries must be integers",
-                                   "vulnerable")))
-
-    if "rule_relevance" in raw:
-        rel_raw = need("rule_relevance", dict)
-        relevance = []
-        for i in range(1, n + 1):
-            rel = rel_raw.get(str(i), [])
-            if not isinstance(rel, list):
-                raise ParseError(f"rule_relevance[{i}] must be a list", field="rule_relevance", path=path)
-            relevance.append(tuple(sorted(ints(rel, "rule indices must be integers", "rule_relevance"))))
-        relevance = tuple(relevance)
-    else:
-        relevance = (tuple(range(1, n + 1)),) * n
-
-    pairs = need("edges", list)
-    if not all(isinstance(item, (list, tuple)) and len(item) == 2 for item in pairs):
+    pairs = need(raw, "edges", list, path)
+    if not all(isinstance(item, list) and len(item) == 2 for item in pairs):
         raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
-    ends = ints([v for item in pairs for v in item], "edge endpoints must be integers", "edges")
+    ends = read_ids([v for item in pairs for v in item], "edges", path)
 
-    graph = InformationFlowGraph(
-        n=n,
-        labels=tuple(labels),
-        traffic=tuple(traffic),
-        edges=tuple(sorted(set(zip(ends[::2], ends[1::2])))),
-        stages=tuple(stages),
-        vulnerable=vulnerable,
+    relevance = None
+    if "rule_relevance" in raw:
+        relevance = {read_key(i, "rule_relevance", path): read_ids(rules, "rule_relevance", path)
+                     for i, rules in need(raw, "rule_relevance", dict, path).items()}
+        if not relevance.keys() <= set(range(1, n + 1)):
+            raise ParseError("rule_relevance keys must be node ids 1..n", field="rule_relevance",
+                             path=path)
+
+    graph = make_graph(
+        n,
+        zip(ends[::2], ends[1::2]),
+        [read_ids(dest, "stages", path) for dest in need(raw, "stages", list, path)],
+        read_ids(need(raw, "vulnerable", list, path), "vulnerable", path),
+        traffic=traffic,
+        labels=labels,
         rule_relevance=relevance,
-        fractional_traffic=bool(raw.get("fractional_traffic", False)),
-        augmented=bool(raw.get("augmented", False)),
+        fractional_traffic=flag("fractional_traffic"),
     )
-    return graph
+    return replace(graph, augmented=flag("augmented"))
 
 
 def export_dot(graph: InformationFlowGraph) -> str:
@@ -484,28 +514,3 @@ def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ..
                     seen.add(w)
                     stack.append(w)
     return tuple(tuple(sorted(reached[i])) for i in range(1, graph.n + 1))
-
-
-def stage_arrivals(graph: InformationFlowGraph) -> set[tuple[int, int]]:
-    """All (node, stage) arrival events reachable from the source, stage-respecting.
-
-    An arrival that cascades through overlapping destination sets counts as
-    an arrival for every stage it crosses.
-    """
-    graph = ensure_augmented(graph)
-    m = graph.n_stages
-    succ = graph.successors
-    seen = {(SOURCE, 1)}
-    arrivals: set[tuple[int, int]] = set()
-    stack = [(SOURCE, 1)]
-    while stack:
-        v, j = stack.pop()
-        for w in succ.get(v, ()):
-            nxt = graph.advance(w, j)
-            arrivals.add((w, j))
-            for s in range(j + 1, nxt):
-                arrivals.add((w, s))
-            if nxt <= m and (w, nxt) not in seen:
-                seen.add((w, nxt))
-                stack.append((w, nxt))
-    return arrivals

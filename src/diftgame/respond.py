@@ -31,14 +31,13 @@ import numpy as np
 
 from .errors import Unreachable, ValidationError
 from .game import (
-    DROP,
     AbsorbingChain,
     AdversaryStrategy,
     DefenderStrategy,
     GameParams,
     evaluate_monte_carlo,  # noqa: F401  unused here; the benchmark's tracer patches this binding
 )
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented, stage_arrivals
+from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +61,6 @@ class AdversaryBestResponse:
     dropped: bool
 
     def to_strategy(self, graph: InformationFlowGraph) -> AdversaryStrategy:
-        if self.dropped:
-            states = AdversaryStrategy.decision_states(graph)
-            return AdversaryStrategy({state: {DROP: 1.0} for state in states})
         return AdversaryStrategy.pure_walk(graph, self.path)
 
 
@@ -98,8 +94,9 @@ def adversary_best_response(
             weight[v] = d[v]
 
     # Dijkstra over (node, post-advance stage); heap keys (dist, path) so that
-    # equal-cost ties settle on the smallest node sequence.
-    start = (SOURCE, 1)
+    # equal-cost ties settle on the smallest node sequence.  Nodes detected
+    # for certain weigh +inf and settle after every finite state, so they
+    # change no finite arrival but still make their destinations candidates.
     best_arrival: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {}
     settled: set[tuple[int, int]] = set()
     heap: list[tuple[float, tuple[int, ...], int, int]] = [(0.0, (SOURCE,), SOURCE, 1)]
@@ -109,8 +106,6 @@ def adversary_best_response(
             continue
         settled.add((v, j))
         for w in succ.get(v, ()):
-            if weight[w] == math.inf:
-                continue
             arr_dist = dist + weight[w]
             arr_path = path + (w,)
             nxt = graph.advance(w, j)
@@ -122,22 +117,17 @@ def adversary_best_response(
             if nxt <= m and (w, nxt) not in settled:
                 heapq.heappush(heap, (arr_dist, arr_path, w, nxt))
 
-    arrivals = stage_arrivals(graph)
     candidates = [
         (dest, j) for j, dests in enumerate(graph.stages, start=1) for dest in dests
-        if (dest, j) in arrivals
+        if (dest, j) in best_arrival
     ]
     if not candidates:
         raise Unreachable("no destination of any stage is reachable from the source")
 
     best: AdversaryBestResponse | None = None
     for dest, j in sorted(candidates, key=lambda c: (c[1], c[0])):
-        hit = best_arrival.get((dest, j))
-        if hit is None:
-            survival, path = 0.0, (SOURCE,)  # reachable but certain detection
-        else:
-            _, path = hit
-            survival = float(math.prod(1.0 - float(d[v]) for v in path[1:]))
+        _, path = best_arrival[(dest, j)]
+        survival = float(math.prod(1.0 - float(d[v]) for v in path[1:]))
         value = survival * (params.beta_a[j - 1] - params.alpha_a) + params.alpha_a
         cand = AdversaryBestResponse(path, j, survival, value, dropped=False)
         if best is None or (-value, j, path) < (-best.value, best.target_stage, best.path):

@@ -178,6 +178,16 @@ def test_cli_simulate_zero_trials_is_usage_error(tmp_path, graph_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-graph", "--nodes", 5, "--stages", 1, "--dest-per-stage", "a"],
+    ["sweep-cost", "graph.json", "--factors", "x"],
+], ids=["dest-per-stage", "factors"])
+def test_cli_malformed_number_list_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out-dir", tmp_path / "x"])
+    assert exc.value.code == 2
+
+
 def test_cli_missing_graph_file_fails_with_stage(tmp_path, capsys):
     code = run_cli(["solve-multi", tmp_path / "missing.json", "--out-dir", tmp_path / "x"])
     assert code == 1
@@ -240,7 +250,9 @@ GOOD_PARAMS = {
     (json.dumps({k: v for k, v in GOOD_PARAMS.items() if k != "beta_a"}), "beta_a"),
     ('{"alpha_a": -100,', None),
     (json.dumps({**GOOD_PARAMS, "c1": "cheap"}), "c1"),
-], ids=["missing-field", "malformed-json", "non-numeric"])
+    (json.dumps({**GOOD_PARAMS, "alpha_d": True}), "alpha_d"),
+    (json.dumps({**GOOD_PARAMS, "c2": -10 ** 400}), "c2"),
+], ids=["missing-field", "malformed-json", "non-numeric", "boolean", "beyond-float"])
 def test_cli_bad_params_file_fails_with_stage(tmp_path, graph_file, capsys, text, field):
     params_path = tmp_path / "params.json"
     params_path.write_text(text)
@@ -254,19 +266,30 @@ def test_cli_bad_params_file_fails_with_stage(tmp_path, graph_file, capsys, text
         assert f"field={field!r}" in err
 
 
-def _break_graph(raw, field):
-    if field == "edges":
+def _break_graph(raw, case):
+    if case == "edges":
         raw["edges"][0] = ["a", 2]
-    elif field == "nodes.id":
+    elif case == "float-edge-end":
+        u, v = raw["edges"][0]
+        raw["edges"][0] = [u + 0.9, v]
+    elif case == "nodes.id":
         raw["nodes"][0]["id"] = "one"
+    elif case == "boolean-entry":
+        raw["vulnerable"] = [True]
     else:
         raw["rule_relevance"]["1"] = ["x"]
 
 
-@pytest.mark.parametrize("field", ["edges", "nodes.id", "rule_relevance"])
-def test_cli_non_integer_graph_entry_fails_with_stage(tmp_path, graph_file, capsys, field):
+@pytest.mark.parametrize("case, field", [
+    ("edges", "edges"),
+    ("float-edge-end", "edges"),
+    ("nodes.id", "nodes.id"),
+    ("boolean-entry", "vulnerable"),
+    ("rule_relevance", "rule_relevance"),
+], ids=["edges", "float-edge-end", "nodes.id", "boolean-entry", "rule_relevance"])
+def test_cli_non_integer_graph_entry_fails_with_stage(tmp_path, graph_file, capsys, case, field):
     raw = json.loads(graph_file.read_text())
-    _break_graph(raw, field)
+    _break_graph(raw, case)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     code = run_cli(["solve-single", bad, "--out-dir", tmp_path / "x"])
@@ -276,19 +299,24 @@ def test_cli_non_integer_graph_entry_fails_with_stage(tmp_path, graph_file, caps
     assert f"field={field!r}" in err
 
 
-@pytest.mark.parametrize("side, field", [("adversary", "probs"), ("defender", "moves")])
+@pytest.mark.parametrize("side, field, bad", [
+    ("adversary", "probs", "x"),
+    ("adversary", "probs", "0.5"),
+    ("defender", "moves", {"x": 0.0}),
+    ("defender", "moves", {"drop": True}),
+], ids=["adversary-probs", "string-probability", "defender-moves", "boolean-probability"])
 def test_cli_non_numeric_strategy_entry_fails_with_stage(tmp_path, graph_file, capsys, side,
-                                                         field):
+                                                         field, bad):
     graph = ifg.load(graph_file)
     strategy = tmp_path / "strategy.json"
     if field == "probs":
         game.save_defender(game.DefenderStrategy.zeros(graph), strategy)
         raw = json.loads(strategy.read_text())
-        raw["probs"][1][0] = "x"
+        raw["probs"][1][0] = bad
     else:
         game.save_adversary(game.AdversaryStrategy.uniform(graph), strategy)
         raw = json.loads(strategy.read_text())
-        raw["moves"]["0"]["1"]["x"] = 0.0
+        raw["moves"]["0"]["1"] = bad
     strategy.write_text(json.dumps(raw))
     code = run_cli(["best-response", graph_file, "--side", side, "--strategy", strategy,
                     "--out-dir", tmp_path / "x"])

@@ -144,6 +144,23 @@ def test_save_load_round_trip_augmented(tmp_path):
     assert ifg.load(path) == g
 
 
+def test_load_collapses_duplicate_ids(tmp_path):
+    g = ifg.make_graph(5, [(1, 2), (2, 3), (3, 4), (2, 5)], [[4], [5]], [1, 2],
+                       rule_relevance=[(1,), (1,), (1, 2), (), (1,)])
+    path, dup = tmp_path / "g.json", tmp_path / "dup.json"
+    ifg.save(g, path)
+    raw = json.loads(path.read_text())
+    raw["rule_relevance"]["2"] = [1, 1]
+    raw["vulnerable"] = [2, 1, 1]
+    raw["edges"].append([1, 2])
+    raw["stages"][0] = [4, 4]
+    dup.write_text(json.dumps(raw))
+    loaded = ifg.load(dup)
+    assert loaded == ifg.load(path) == g
+    # a rule listed twice must not be multiplied in twice
+    assert game.DefenderStrategy.full(loaded, 0.5).detection_vector(loaded)[2] == 0.125
+
+
 def test_load_malformed_stage_names_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
