@@ -22,8 +22,8 @@ print("violations:", ifg.validate(graph))
 print("stage destinations:", graph.stages)
 print("relevant rules per node:", graph.rule_relevance)
 
-augmented = ifg.augment_with_source(graph)
-print("\npseudo-source edges:", [e for e in augmented.edges if e[0] == 0])
+# The pseudo-source s0 (node 0) is implicit: its out-neighbors are the entries.
+print("\npseudo-source successors:", graph.successors[0])
 
 print("\nDOT rendering:\n")
 print(ifg.export_dot(graph))

@@ -26,11 +26,6 @@ armed = game.DefenderStrategy.full(graph, 1.0)
 br_armed = respond.adversary_best_response(graph, params, armed)
 print(f"against a fully armed defense: dropped={br_armed.dropped} value={br_armed.value}")
 
-# an additive-weight approximation of the survival objective is also available
-br_lin = respond.adversary_best_response(graph, params, defender, weight_mode="linear")
-print(f"additive-weight mode picks value {br_lin.value:.2f} "
-      f"(exact-product mode: {br.value:.2f})")
-
 # --- defender against a mixed attack ----------------------------------------
 adversary = game.AdversaryStrategy.random(graph, rng)
 

@@ -3,7 +3,7 @@ multi-stage attacks on an information flow graph.
 
 Submodules:
 
-* ``ifg``          - graph data model, validation, augmentation, file I/O
+* ``ifg``          - graph data model, validation, file I/O
 * ``game``         - strategies, parameters, exact absorbing-chain / Monte
                      Carlo / pure-profile payoff evaluation, and walk
                      enumeration as the exact evaluator's reference

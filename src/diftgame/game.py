@@ -41,7 +41,6 @@ from .errors import InvalidPath, ParseError, TruncationError, ValidationError
 from .ifg import (
     SOURCE,
     InformationFlowGraph,
-    ensure_augmented,
     need,
     read_key,
     read_json,
@@ -118,6 +117,8 @@ class GameParams:
         return costs
 
     def check_against(self, graph: InformationFlowGraph) -> None:
+        """Raise ValidationError unless these parameters and ``graph`` form a game."""
+        graph.check_entries()
         if self.n_stages != graph.n_stages:
             raise ValidationError(
                 f"params cover {self.n_stages} stages but the graph has {graph.n_stages}"
@@ -223,8 +224,13 @@ class DefenderStrategy:
 
         Every node multiplies the probabilities of its ``defender_cells``
         left to right: tag, trap, then its relevant rules in ``relevance``
-        order; padding columns multiply by an exact 1.0.
+        order; padding columns multiply by an exact 1.0.  Raises
+        ValidationError when the strategy was built for another node count.
         """
+        if self.n != graph.n:
+            raise ValidationError(
+                f"defender strategy covers {self.n} nodes but the graph has {graph.n}"
+            )
         probs = np.concatenate((self.probs, np.ones((self.probs.shape[0], 1))), axis=1)
         rules = np.take_along_axis(probs, graph.rule_columns, axis=1)
         d = probs[:, 0] * probs[:, 1]
@@ -259,7 +265,6 @@ class AdversaryStrategy:
             ) from None
 
     def validate(self, graph: InformationFlowGraph) -> None:
-        graph = ensure_augmented(graph)
         succ = graph.successors
         for (v, j), dist in self.moves.items():
             if not 1 <= j <= graph.n_stages:
@@ -283,7 +288,6 @@ class AdversaryStrategy:
 
     @staticmethod
     def decision_states(graph: InformationFlowGraph) -> list[tuple[int, int]]:
-        graph = ensure_augmented(graph)
         states = [(SOURCE, 1)]
         for v in range(1, graph.n + 1):
             for j in range(1, graph.n_stages + 1):
@@ -293,7 +297,6 @@ class AdversaryStrategy:
 
     @classmethod
     def uniform(cls, graph: InformationFlowGraph) -> "AdversaryStrategy":
-        graph = ensure_augmented(graph)
         succ = graph.successors
         moves = {}
         for v, j in cls.decision_states(graph):
@@ -303,7 +306,6 @@ class AdversaryStrategy:
 
     @classmethod
     def random(cls, graph: InformationFlowGraph, rng: np.random.Generator) -> "AdversaryStrategy":
-        graph = ensure_augmented(graph)
         succ = graph.successors
         moves = {}
         for v, j in cls.decision_states(graph):
@@ -314,19 +316,17 @@ class AdversaryStrategy:
 
     @classmethod
     def pure_walk(cls, graph: InformationFlowGraph, walk) -> "AdversaryStrategy":
-        """Deterministic strategy following ``walk`` (node ids from s0), dropping elsewhere."""
-        graph = ensure_augmented(graph)
-        succ = graph.successors
+        """Deterministic strategy following ``walk`` (node ids from s0), dropping elsewhere.
+
+        The whole walk must pass ``check_walk``, steps after the attack
+        completes included, although those steps set no move.
+        """
+        walk = check_walk(graph, walk)
         moves = {}
         for v, j in cls.decision_states(graph):
             moves[(v, j)] = {DROP: 1.0}
-        walk = list(walk)
-        if not walk or walk[0] != SOURCE:
-            raise InvalidPath("a walk must start at the pseudo-source (node 0)")
         stage = 1
         for u, v in zip(walk, walk[1:]):
-            if v not in succ.get(u, ()):
-                raise InvalidPath(f"step ({u}, {v}) is not an edge")
             moves[(u, stage)] = {v: 1.0}
             stage = graph.advance(v, stage)
             if stage > graph.n_stages:
@@ -335,6 +335,22 @@ class AdversaryStrategy:
 
     def __eq__(self, other):
         return isinstance(other, AdversaryStrategy) and self.moves == other.moves
+
+
+def check_walk(graph: InformationFlowGraph, walk) -> list[int]:
+    """``walk`` as a list of node ids that starts at s0 and steps along edges.
+
+    Raises InvalidPath for an empty walk, a walk that starts elsewhere, or
+    any step that is not an edge; the entry step goes from s0 to an entry.
+    """
+    walk = [int(v) for v in walk]
+    if not walk or walk[0] != SOURCE:
+        raise InvalidPath("a walk must start at the pseudo-source (node 0)")
+    succ = graph.successors
+    for u, v in zip(walk, walk[1:]):
+        if v not in succ.get(u, ()):
+            raise InvalidPath(f"step ({u}, {v}) is not an edge")
+    return walk
 
 
 # --- strategy files --------------------------------------------------------
@@ -423,7 +439,6 @@ def iter_walks(
     it is exponential in ``max_len``.  Iterative depth-first traversal, so
     the move bound is not limited by the interpreter recursion limit.
     """
-    graph = ensure_augmented(graph)
     if max_len is None:
         max_len = default_max_len(graph)
     if max_len < 1:
@@ -566,7 +581,6 @@ class CompiledPaths:
     """
 
     def __init__(self, graph, adversary, max_len=None, cap=10_000):
-        graph = ensure_augmented(graph)
         self.graph = graph
         self.walks: list[Walk] = []
         self.truncated_mass = 0.0
@@ -631,7 +645,6 @@ class AbsorbingChain:
     """
 
     def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
-        graph = ensure_augmented(graph)
         self.graph = graph
         m = graph.n_stages
         self.states = [(SOURCE, 1)]
@@ -770,7 +783,6 @@ def evaluate_exact(
 
     Exact over an unbounded horizon, cyclic support included.
     """
-    graph = ensure_augmented(graph)
     params.check_against(graph)
     p_t, p_r = AbsorbingChain(graph, adversary).masses(defender.detection_vector(graph))
     tag, trap, rule = strategy_costs(graph, params, defender)
@@ -863,7 +875,6 @@ def evaluate_monte_carlo(
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    graph = ensure_augmented(graph)
     params.check_against(graph)
     if max_len is None:
         max_len = default_max_len(graph)
@@ -998,20 +1009,13 @@ def evaluate_pure_profile(
     boundary crossed before detection or the end of the walk.  Defender cost
     terms cover every set bit, on the walk or not.
     """
-    graph = ensure_augmented(graph)
     params.check_against(graph)
     bits = np.asarray(defender_bits)
     if bits.shape != (graph.n + 1, graph.n + 2):
         raise ValidationError(
             f"defender bits must have shape (n+1, 2+n), got {bits.shape}"
         )
-    walk = [int(v) for v in adversary_path]
-    if not walk or walk[0] != SOURCE:
-        raise InvalidPath("adversary walk must start at the pseudo-source (node 0)")
-    succ = graph.successors
-    for u, v in zip(walk, walk[1:]):
-        if v not in succ.get(u, ()):
-            raise InvalidPath(f"step ({u}, {v}) is not an edge")
+    walk = check_walk(graph, adversary_path)
 
     nodes, columns = graph.defender_cells
     armed = np.arange(graph.n + 1) != SOURCE

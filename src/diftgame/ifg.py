@@ -1,7 +1,9 @@
-"""Information flow graph: data model, validation, source augmentation, file I/O.
+"""Information flow graph: data model, validation, file I/O.
 
-Nodes are integers 1..n; index 0 is reserved for the pseudo-source that
-augmentation prepends in front of the vulnerable entry set.  Each real node
+Nodes are integers 1..n; index 0 is reserved for the pseudo-source s0, whose
+out-neighbors are exactly the vulnerable entry set.  The pseudo-source is
+implicit: ``successors[0]`` is the entry set and ``edges`` holds only edges
+between real nodes.  Each real node
 carries a label, a traffic weight (the fraction of system flows passing
 through it), and the set of security-rule indices that are meaningful at it.
 Stage j of an attack is characterized by a destination set; destination sets
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,20 +40,19 @@ class InformationFlowGraph:
     """Directed graph of processes/objects with staged attack destinations.
 
     Treat instances as immutable: derived accessors are cached, and all
-    transformations (augmentation, generators) return new values.
+    transformations, such as the generators, return new values.
 
     Fields
     ------
     n:              number of real nodes; ids are 1..n
     labels:         labels[i-1] labels node i
     traffic:        traffic[i-1] is the average traffic weight B of node i
-    edges:          sorted ordered pairs (u, v); includes (0, e) once augmented
+    edges:          sorted ordered pairs (u, v) of real nodes
     stages:         destination sets D_1..D_M, each a sorted tuple of node ids
     vulnerable:     entry set, sorted tuple of node ids
     rule_relevance: rule_relevance[i-1] lists the rule indices (1..n) whose
                     check is meaningful at node i
     fractional_traffic: when True, validation requires traffic to sum to 1
-    augmented:      True once the pseudo-source and its edges were added
     """
 
     n: int
@@ -62,7 +63,6 @@ class InformationFlowGraph:
     vulnerable: tuple[int, ...]
     rule_relevance: tuple[tuple[int, ...], ...]
     fractional_traffic: bool = False
-    augmented: bool = False
 
     @property
     def n_stages(self) -> int:
@@ -70,11 +70,24 @@ class InformationFlowGraph:
 
     @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
-        """Out-neighbors per node id, sorted; includes the source if augmented."""
-        out: dict[int, list[int]] = {i: [] for i in range(0 if self.augmented else 1, self.n + 1)}
+        """Out-neighbors per node id 0..n, sorted; the pseudo-source's are the entries.
+
+        Raises ValidationError as ``check_entries`` does.
+        """
+        self.check_entries()
+        out: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
         for u, v in self.edges:
             out[u].append(v)
-        return {u: tuple(sorted(vs)) for u, vs in out.items()}
+        return {SOURCE: self.vulnerable, **{u: tuple(sorted(vs)) for u, vs in out.items()}}
+
+    def check_entries(self) -> None:
+        """Raise ValidationError unless the entry set, s0's out-neighbors, is
+        non-empty and within 1..n; every solver checks this before it starts."""
+        if not self.vulnerable:
+            raise ValidationError("the vulnerable entry set is empty")
+        for v in self.vulnerable:
+            if not 1 <= v <= self.n:
+                raise ValidationError(f"entry node {v} is not a real node")
 
     @cached_property
     def stage_membership(self) -> dict[int, tuple[int, ...]]:
@@ -167,7 +180,7 @@ def make_graph(
     rule_relevance=None,
     fractional_traffic=None,
 ) -> InformationFlowGraph:
-    """Build an unaugmented graph, applying the documented defaults.
+    """Build a graph, applying the documented defaults.
 
     Defaults: labels "s1".."sN"; uniform traffic 1/n with the fractional flag
     set; rule relevance {1..n} at every node when omitted.
@@ -207,8 +220,6 @@ def validate(graph: InformationFlowGraph) -> list[Violation]:
     out: list[Violation] = []
     n = graph.n
     known = set(range(1, n + 1))
-    if graph.augmented:
-        known.add(SOURCE)
 
     if len(graph.labels) != n:
         out.append(Violation("label-count", f"{len(graph.labels)} labels for {n} nodes"))
@@ -227,13 +238,13 @@ def validate(graph: InformationFlowGraph) -> list[Violation]:
         if not dest:
             out.append(Violation("empty-stage", f"destination set of stage {j} is empty"))
         for d in dest:
-            if d not in known or d == SOURCE:
+            if d not in known:
                 out.append(Violation("unknown-destination", f"stage {j} destination {d} is not a real node"))
 
     if not graph.vulnerable:
         out.append(Violation("empty-vulnerable", "the vulnerable entry set is empty"))
     for v in graph.vulnerable:
-        if v not in known or v == SOURCE:
+        if v not in known:
             out.append(Violation("unknown-vulnerable", f"entry node {v} is not a real node"))
 
     for i, b in enumerate(graph.traffic, start=1):
@@ -248,39 +259,16 @@ def validate(graph: InformationFlowGraph) -> list[Violation]:
         for r in rel:
             if not 1 <= r <= n:
                 out.append(Violation("rule-out-of-range", f"node {i} lists rule {r} outside 1..{n}"))
-
-    if graph.augmented:
-        source_out = tuple(sorted(v for u, v in graph.edges if u == SOURCE))
-        if source_out != graph.vulnerable:
-            out.append(
-                Violation(
-                    "source-degree",
-                    f"pseudo-source edges go to {source_out}, expected exactly the entry set {graph.vulnerable}",
-                )
-            )
     return out
 
 
-def augment_with_source(graph: InformationFlowGraph) -> InformationFlowGraph:
-    """Return a copy with node 0 added and one edge (0, e) per entry node.
-
-    Raises ValidationError when already augmented, when the entry set is
-    empty, or when an entry node is unknown.
-    """
-    if graph.augmented:
-        raise ValidationError("graph is already augmented with the pseudo-source")
-    if not graph.vulnerable:
-        raise ValidationError("cannot augment: the vulnerable entry set is empty")
-    for v in graph.vulnerable:
-        if not 1 <= v <= graph.n:
-            raise ValidationError(f"cannot augment: entry node {v} is not a real node")
-    edges = tuple(sorted(set(graph.edges) | {(SOURCE, v) for v in graph.vulnerable}))
-    return replace(graph, edges=edges, augmented=True)
-
-
 def ensure_augmented(graph: InformationFlowGraph) -> InformationFlowGraph:
-    """Augment unless the caller already did; never mutates the input."""
-    return graph if graph.augmented else augment_with_source(graph)
+    """Return ``graph`` itself.
+
+    Every graph already has the pseudo-source: ``successors[0]`` is its
+    entry set.  The name stays for callers outside the package that use it.
+    """
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +284,11 @@ def ensure_augmented(graph: InformationFlowGraph) -> InformationFlowGraph:
 #     "fractional_traffic": true,                  # optional, default false
 #     "augmented": false                           # optional, default false
 #   }
-# Node ids must be exactly 1..n (0 appears only in augmented files).  Ids are
-# JSON integers, written as decimal strings only as object keys; duplicate ids
-# collapse as in make_graph.
+# Node ids must be exactly 1..n.  Ids are JSON integers, written as decimal
+# strings only as object keys; duplicate ids collapse as in make_graph.  The
+# pseudo-source is implicit and "augmented" is always written false.  A file
+# marked "augmented": true may also list the source edges [0, e]; they must
+# go to exactly the entry set and are dropped on load.
 # ---------------------------------------------------------------------------
 
 
@@ -313,7 +303,7 @@ def save(graph: InformationFlowGraph, path) -> None:
         "vulnerable": list(graph.vulnerable),
         "rule_relevance": {str(i): list(graph.rule_relevance[i - 1]) for i in range(1, graph.n + 1)},
         "fractional_traffic": graph.fractional_traffic,
-        "augmented": graph.augmented,
+        "augmented": False,
     }
     write_json(payload, path)
 
@@ -427,7 +417,8 @@ def load(path) -> InformationFlowGraph:
     """Read a graph file; ids collapse and sort as in ``make_graph``.
 
     Raises ParseError, naming the field and ``path``, for malformed JSON, a
-    missing field, or a value of the wrong kind.
+    missing field, a value of the wrong kind, or, in a file marked augmented,
+    source edges that do not go to exactly the entry set.
     """
     raw = read_json(path)
 
@@ -450,6 +441,7 @@ def load(path) -> InformationFlowGraph:
     if not all(isinstance(item, list) and len(item) == 2 for item in pairs):
         raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
     ends = read_ids([v for item in pairs for v in item], "edges", path)
+    edges = zip(ends[::2], ends[1::2])
 
     relevance = None
     if "rule_relevance" in raw:
@@ -459,24 +451,23 @@ def load(path) -> InformationFlowGraph:
             raise ParseError("rule_relevance keys must be node ids 1..n", field="rule_relevance",
                              path=path)
 
-    graph = make_graph(
-        n,
-        zip(ends[::2], ends[1::2]),
-        [read_ids(dest, "stages", path) for dest in need(raw, "stages", list, path)],
-        read_ids(need(raw, "vulnerable", list, path), "vulnerable", path),
-        traffic=traffic,
-        labels=labels,
-        rule_relevance=relevance,
-        fractional_traffic=flag("fractional_traffic"),
-    )
-    return replace(graph, augmented=flag("augmented"))
+    stages = [read_ids(dest, "stages", path) for dest in need(raw, "stages", list, path)]
+    vulnerable = read_ids(need(raw, "vulnerable", list, path), "vulnerable", path)
+    fractional = flag("fractional_traffic")
+    if flag("augmented"):
+        edges = set(edges)
+        entries = {v for u, v in edges if u == SOURCE}
+        if entries != set(vulnerable):
+            raise ParseError(f"pseudo-source edges go to {sorted(entries)}, expected exactly the "
+                             f"entry set {sorted(set(vulnerable))}", field="edges", path=path)
+        edges -= {(SOURCE, v) for v in entries}
+    return make_graph(n, edges, stages, vulnerable, traffic=traffic, labels=labels,
+                      rule_relevance=relevance, fractional_traffic=fractional)
 
 
 def export_dot(graph: InformationFlowGraph) -> str:
     """Deterministic DOT text; destinations carry their stage indices, entries are marked."""
     lines = ["digraph ifg {", "  rankdir=LR;"]
-    if graph.augmented:
-        lines.append('  n0 [label="s0" shape=point];')
     entries = set(graph.vulnerable)
     for i in range(1, graph.n + 1):
         label = graph.labels[i - 1]

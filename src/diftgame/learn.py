@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .game import DROP, AbsorbingChain, AdversaryStrategy, DefenderStrategy, GameParams
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
+from .ifg import SOURCE, InformationFlowGraph
 
 ADVANCE = -2  # placeholder action of forced stage-transition players
 
@@ -54,7 +54,6 @@ class PlayerRoster:
     """
 
     def __init__(self, graph: InformationFlowGraph):
-        graph = ensure_augmented(graph)
         self.graph = graph
         succ = graph.successors
         m = graph.n_stages
@@ -534,7 +533,6 @@ def expected_swap_utility(
     agree, and a committed cycle is a closed class that never detects, which
     the chain leaves out just as the rollout ends the walk there.
     """
-    graph = ensure_augmented(graph)
     target = roster.players[player]
     p_swapped = np.asarray(p_swapped, dtype=float)
     if len(p_swapped) != target.n_actions:

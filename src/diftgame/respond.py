@@ -37,7 +37,7 @@ from .game import (
     GameParams,
     evaluate_monte_carlo,  # noqa: F401  unused here; the benchmark's tracer patches this binding
 )
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented
+from .ifg import SOURCE, InformationFlowGraph
 
 
 # ---------------------------------------------------------------------------
@@ -68,30 +68,21 @@ def adversary_best_response(
     graph: InformationFlowGraph,
     params: GameParams,
     defender: DefenderStrategy,
-    weight_mode: str = "log",
 ) -> AdversaryBestResponse:
     """Maximize survival * (beta_a[j] - alpha_a) + alpha_a over stage-respecting walks.
 
-    ``weight_mode="log"`` (default) optimizes the exact survival product via
-    additive -log(1 - w) node weights; ``"linear"`` reproduces the additive
-    approximation that sums the raw detection probabilities instead.  Either
-    way the reported value uses the exact product along the returned walk.
-    Ties break toward the lexicographically smallest node sequence.
+    Optimizes the exact survival product via additive -log(1 - d) node
+    weights; the reported value uses the exact product along the returned
+    walk.  Ties break toward the lexicographically smallest node sequence.
     """
-    graph = ensure_augmented(graph)
     params.check_against(graph)
-    if weight_mode not in ("log", "linear"):
-        raise ValidationError(f"unknown weight_mode {weight_mode!r}")
     m = graph.n_stages
     succ = graph.successors
     d = defender.detection_vector(graph)
     weight = np.empty(graph.n + 1)
     weight[0] = 0.0
     for v in range(1, graph.n + 1):
-        if weight_mode == "log":
-            weight[v] = math.inf if d[v] >= 1.0 else -math.log1p(-d[v])
-        else:
-            weight[v] = d[v]
+        weight[v] = math.inf if d[v] >= 1.0 else -math.log1p(-d[v])
 
     # Dijkstra over (node, post-advance stage); heap keys (dist, path) so that
     # equal-cost ties settle on the smallest node sequence.  Nodes detected
@@ -211,7 +202,7 @@ class DefenderObjective:
         levels=1,
         scheme: str = "component",
     ):
-        self.graph = ensure_augmented(graph)
+        self.graph = graph
         params.check_against(self.graph)
         self.params = params
         self.levels = normalize_levels(self.graph, levels)

@@ -28,7 +28,7 @@ import numpy as np
 from . import respond
 from .errors import DegenerateEquilibrium, NotSingleStage, ValidationError
 from .game import DefenderStrategy, GameParams
-from .ifg import SOURCE, InformationFlowGraph, ensure_augmented, entry_reachability
+from .ifg import SOURCE, InformationFlowGraph, entry_reachability
 
 _CAP_TOL = 1e-12
 
@@ -56,7 +56,6 @@ def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowN
     """
     if graph.n_stages != 1:
         raise NotSingleStage(f"flow network needs a single-stage graph, got M={graph.n_stages}")
-    graph = ensure_augmented(graph)
     params.check_against(graph)
     n = graph.n
     sink = 2 * n + 1
@@ -70,8 +69,6 @@ def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowN
         arcs.append((i, i + n))
         caps.append(abs(cost))
     for u, v in graph.edges:  # shifted original arcs
-        if u == SOURCE:
-            continue
         arcs.append((u + n, v))
         caps.append(math.inf)
     for d in graph.stages[0]:  # destination arcs
@@ -335,7 +332,6 @@ def solve_matrix_game(
     """
     if graph.n_stages != 1:
         raise NotSingleStage(f"matrix game needs a single-stage graph, got M={graph.n_stages}")
-    graph = ensure_augmented(graph)
     params.check_against(graph)
     if not cut.cut_nodes:
         raise ValidationError("cannot solve the matrix game for an empty cut")

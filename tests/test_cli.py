@@ -326,6 +326,25 @@ def test_cli_non_numeric_strategy_entry_fails_with_stage(tmp_path, graph_file, c
     assert f"field={field!r}" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "best-response"])
+def test_cli_defender_file_for_another_graph_fails_with_stage(tmp_path, capsys, command):
+    small, large = (generate.gen_graph(n, 2, (1, 1), 1, 0.2, seed=4) for n in (10, 12))
+    graph, defender, adversary = tmp_path / "g12.json", tmp_path / "d10.json", tmp_path / "a12.json"
+    ifg.save(large, graph)
+    game.save_defender(game.DefenderStrategy.full(small, 0.5), defender)
+    game.save_adversary(game.AdversaryStrategy.uniform(large), adversary)
+    if command == "simulate":
+        argv = ["simulate", graph, "--defender", defender, "--adversary", adversary,
+                "--n-trials", 100]
+    else:
+        argv = ["best-response", graph, "--side", "adversary", "--strategy", defender]
+    code = run_cli([*argv, "--out-dir", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]")
+    assert "10 nodes" in err and "has 12" in err
+
+
 def test_cli_out_dir_naming_a_file_fails_with_stage(tmp_path, capsys):
     not_a_dir = tmp_path / "taken"
     not_a_dir.write_text("")

@@ -313,6 +313,15 @@ def test_pure_profile_rejects_non_edges():
         game.evaluate_pure_profile(g, p, np.zeros((4, 5)), (1, 2))
 
 
+@pytest.mark.parametrize("walk", [(), (1, 2), (0, 2), (0, 1, 3), (0, 1, 2, 3, 1)],
+                         ids=["empty", "not-from-source", "not-an-entry", "non-edge",
+                              "non-edge-after-completion"])
+def test_pure_walk_rejects_bad_walks(walk):
+    # the last case completes the attack at node 3 before its bad step
+    with pytest.raises(InvalidPath):
+        game.AdversaryStrategy.pure_walk(chain_instance(), walk)
+
+
 def test_pure_profile_average_reproduces_mixed_evaluation(rng):
     # all fractional-bit assignments on a 3-node chain, fixed adversary walk
     g = chain_instance(relevance=[(1,), (1,), ()])

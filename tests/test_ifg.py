@@ -15,44 +15,33 @@ def chain(n=3, stages=((3,),), vulnerable=(1,)):
     return ifg.make_graph(n, [(i, i + 1) for i in range(1, n)], stages, vulnerable)
 
 
-def test_augment_single_entry_adds_one_edge():
-    g = chain()
-    aug = ifg.augment_with_source(g)
-    assert set(aug.edges) - set(g.edges) == {(0, 1)}
-    assert aug.augmented
+def test_source_successors_are_the_entries():
+    g = ifg.make_graph(3, [(1, 3), (2, 3)], [[3]], vulnerable=[2, 1])
+    assert g.successors[0] == g.vulnerable == (1, 2)
+    assert all(u != 0 for u, _ in g.edges)
+    rain = generate.gen_graph(30, 4, (2, 2, 2, 2), 1, 0.08, seed=3)
+    assert rain.successors[0] == rain.vulnerable and len(rain.vulnerable) == 1
 
 
-def test_augment_two_entries_gives_source_out_degree_two():
-    g = ifg.make_graph(3, [(1, 3), (2, 3)], [[3]], vulnerable=[1, 2])
-    aug = ifg.augment_with_source(g)
-    assert aug.successors[0] == (1, 2)
-
-
-def test_augment_rain_shaped_graph_single_entry():
-    g = generate.gen_graph(30, 4, (2, 2, 2, 2), 1, 0.08, seed=3)
-    aug = ifg.augment_with_source(g)
-    assert len(aug.successors[0]) == 1
-
-
-def test_augment_twice_rejected():
-    aug = ifg.augment_with_source(chain())
-    with pytest.raises(ValidationError):
-        ifg.augment_with_source(aug)
-
-
-def test_augment_requires_known_entries():
+@pytest.mark.parametrize("vulnerable", [(), (9,), (0,)], ids=["empty", "unknown", "source"])
+def test_solver_use_rejects_empty_or_unknown_entries(vulnerable):
     g = chain()
     bad = ifg.InformationFlowGraph(
         n=g.n, labels=g.labels, traffic=g.traffic, edges=g.edges,
-        stages=g.stages, vulnerable=(9,), rule_relevance=g.rule_relevance,
+        stages=g.stages, vulnerable=vulnerable, rule_relevance=g.rule_relevance,
     )
+    assert {"empty-vulnerable", "unknown-vulnerable"} & _codes(bad)
     with pytest.raises(ValidationError):
-        ifg.augment_with_source(bad)
+        bad.successors
+    with pytest.raises(ValidationError):
+        game.AdversaryStrategy.uniform(bad)
+    with pytest.raises(ValidationError):
+        game.evaluate_exact(bad, game.default_params(g), game.DefenderStrategy.zeros(g),
+                            game.AdversaryStrategy.uniform(g))
 
 
 def test_validate_well_formed_graph_is_clean():
     assert ifg.validate(chain()) == []
-    assert ifg.validate(ifg.augment_with_source(chain())) == []
 
 
 def _codes(graph):
@@ -60,11 +49,11 @@ def _codes(graph):
 
 
 def test_validate_flags_edge_into_source():
-    g = ifg.augment_with_source(chain())
+    g = chain()
     bad = ifg.InformationFlowGraph(
         n=g.n, labels=g.labels, traffic=g.traffic, edges=g.edges + ((2, 0),),
         stages=g.stages, vulnerable=g.vulnerable, rule_relevance=g.rule_relevance,
-        fractional_traffic=g.fractional_traffic, augmented=True,
+        fractional_traffic=g.fractional_traffic,
     )
     assert "edge-into-source" in _codes(bad)
 
@@ -101,17 +90,6 @@ def test_validate_flags_unknown_destination():
     assert "unknown-destination" in _codes(g)
 
 
-def test_validate_flags_wrong_source_degree():
-    g = ifg.augment_with_source(ifg.make_graph(3, [(1, 3), (2, 3)], [[3]], [1, 2]))
-    missing = ifg.InformationFlowGraph(
-        n=g.n, labels=g.labels, traffic=g.traffic,
-        edges=tuple(e for e in g.edges if e != (0, 2)),
-        stages=g.stages, vulnerable=g.vulnerable, rule_relevance=g.rule_relevance,
-        fractional_traffic=g.fractional_traffic, augmented=True,
-    )
-    assert "source-degree" in _codes(missing)
-
-
 def test_validate_flags_empty_and_unknown_vulnerable():
     g = chain()
     empty = ifg.InformationFlowGraph(
@@ -137,11 +115,38 @@ def test_save_load_round_trip(tmp_path):
     assert ifg.load(path) == g
 
 
-def test_save_load_round_trip_augmented(tmp_path):
-    g = ifg.augment_with_source(chain())
+def _augmented_copy(graph, path, source_edges):
+    """Save ``graph`` as a file marked augmented that lists ``source_edges`` too."""
+    ifg.save(graph, path)
+    raw = json.loads(path.read_text())
+    assert raw["augmented"] is False
+    raw["augmented"] = True
+    raw["edges"] = [list(e) for e in source_edges] + raw["edges"]
+    path.write_text(json.dumps(raw))
+
+
+def test_load_augmented_file_equals_plain_graph(tmp_path):
+    g = ifg.make_graph(4, [(1, 3), (2, 3), (3, 4)], [[4]], [1, 2])
     path = tmp_path / "aug.json"
-    ifg.save(g, path)
-    assert ifg.load(path) == g
+    _augmented_copy(g, path, [(0, 2), (0, 1), (0, 1)])
+    loaded = ifg.load(path)
+    assert loaded == g
+    assert loaded.successors == g.successors
+    resaved = tmp_path / "plain.json"
+    ifg.save(loaded, resaved)
+    assert json.loads(resaved.read_text())["augmented"] is False
+
+
+@pytest.mark.parametrize("source_edges", [
+    [(0, 1)], [(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 3)], [],
+], ids=["missing", "extra", "wrong", "none"])
+def test_load_rejects_mismatched_source_edges(tmp_path, source_edges):
+    g = ifg.make_graph(4, [(1, 3), (2, 3), (3, 4)], [[4]], [1, 2])
+    path = tmp_path / "aug.json"
+    _augmented_copy(g, path, source_edges)
+    with pytest.raises(ParseError) as exc:
+        ifg.load(path)
+    assert exc.value.field == "edges"
 
 
 def test_load_collapses_duplicate_ids(tmp_path):

@@ -112,17 +112,15 @@ def test_best_response_paths_respect_stage_order(rng):
         assert stage >= br.target_stage + 1
 
 
-def test_best_response_linear_mode_reports_exact_product(rng):
+def test_best_response_reports_exact_product(rng):
     g = random_dag_instance(rng, n_max=6, m_max=2)
     p = random_params(rng, g.n, g.n_stages)
     d = game.DefenderStrategy.random(g, rng)
-    br = respond.adversary_best_response(g, p, d, weight_mode="linear")
+    br = respond.adversary_best_response(g, p, d)
     if not br.dropped:
         det = d.detection_vector(g)
         prod = math.prod(1.0 - det[v] for v in br.path[1:])
         assert br.survival == pytest.approx(prod, abs=1e-12)
-    log_br = respond.adversary_best_response(g, p, d, weight_mode="log")
-    assert log_br.value >= br.value - 1e-9  # the exact mode never does worse
 
 
 def test_best_response_deterministic_tie_break():
