@@ -4,8 +4,12 @@ The defender picks, per node, a tuple of 2+N probabilities: tag (column 0),
 trap (column 1), and rule r (column 1 + r).  A flow is detected at a node
 when the tag, the trap, and every rule relevant at that node fire together,
 so the per-visit detection probability is the product of those cells, the
-ones ``InformationFlowGraph.defender_cells`` lists; ``GameParams.cell_costs``
-prices every cell.  The adversary picks, per (node, stage), a distribution
+ones ``InformationFlowGraph.defender_cells`` lists.  This module alone knows
+how the cells sit in the stored (n+1) x (n+2) defender matrix:
+``DefenderStrategy.from_cells`` scatters one value per cell into it,
+``DefenderStrategy.cells`` gathers them back, and ``GameParams.cell_costs``
+prices the cells in the same order; other modules see per-cell vectors only.
+The adversary picks, per (node, stage), a distribution
 over out-neighbors plus a drop action; arriving at a stage-j destination
 while in stage j forces the stage to advance.
 
@@ -106,14 +110,16 @@ class GameParams:
         return self.c1 * traffic, self.c2 * traffic
 
     def cell_costs(self, graph: InformationFlowGraph) -> np.ndarray:
-        """Price of every defender cell, shaped like a defender matrix (all <= 0).
+        """Price of each cell of ``graph.defender_cells``, in that order (all <= 0).
 
-        Columns 0 and 1 hold the ``tag_trap_costs`` and column 1 + r (rule r)
-        ``gamma[r - 1]``; row 0, the pseudo-source, is zero.
+        A tag or trap cell costs its node's ``tag_trap_costs`` entry, and the
+        cell of rule r costs ``gamma[r - 1]``.
         """
-        costs = np.zeros((graph.n + 1, graph.n + 2))
-        costs[1:, 0], costs[1:, 1] = self.tag_trap_costs(graph)
-        costs[1:, 2:] = self.gamma
+        nodes, columns = graph.defender_cells
+        tag, trap = self.tag_trap_costs(graph)
+        costs = np.where(columns == 0, tag[nodes - 1], trap[nodes - 1])
+        rules = columns >= 2
+        costs[rules] = np.asarray(self.gamma)[columns[rules] - 2]
         return costs
 
     def check_against(self, graph: InformationFlowGraph) -> None:
@@ -180,17 +186,10 @@ class DefenderStrategy:
             raise ValidationError(
                 f"defender strategy must have shape (n+1, 2+n), got {probs.shape}"
             )
-        if not (np.all(probs >= -_PROB_TOL) and np.all(probs <= 1 + _PROB_TOL)):  # NaN fails
-            bad = np.argwhere(~np.isfinite(probs))
-            if bad.size:
-                node, column = bad[0]
-                raise ValidationError(
-                    f"defender probability at node {node}, column {column} is not a finite number"
-                )
-            raise ValidationError("defender probabilities must lie in [0, 1]")
+        clipped = _clipped(probs, lambda i: divmod(i, probs.shape[1]))
         if np.any(probs[0] != 0):
             raise ValidationError("the pseudo-source row must be identically zero")
-        self.probs = np.clip(probs, 0.0, 1.0)
+        self.probs = clipped
         self.probs.setflags(write=False)
 
     @property
@@ -213,33 +212,76 @@ class DefenderStrategy:
         probs[0] = 0.0
         return cls(probs)
 
+    @classmethod
+    def from_cells(cls, graph: InformationFlowGraph, values) -> "DefenderStrategy":
+        """The strategy that gives each cell of ``graph.defender_cells`` its
+        entry of ``values`` and every other cell 0.
+
+        The values are checked as the constructor checks a matrix, and only
+        the nonzero ones are written, straight into the stored matrix: the
+        pages of a large matrix that hold none are never touched, and no
+        second dense copy is made.
+        """
+        nodes, columns = graph.defender_cells
+        values = _clipped(np.asarray(values, dtype=float), lambda k: (nodes[k], columns[k]))
+        on = values != 0.0
+        probs = np.zeros((graph.n + 1, graph.n + 2))
+        probs[nodes[on], columns[on]] = values[on]
+        probs.setflags(write=False)
+        strategy = cls.__new__(cls)
+        strategy.probs = probs
+        return strategy
+
     def with_entry(self, node: int, component: int, value: float) -> "DefenderStrategy":
         """Copy with one entry replaced; ``component`` is 1=tag, 2=trap, 2+r=rule r."""
         probs = self.probs.copy()
         probs[node, component - 1] = value
         return DefenderStrategy(probs)
 
-    def detection_vector(self, graph: InformationFlowGraph) -> np.ndarray:
-        """Per-node detection probability; index 0 (pseudo-source) is 0.
+    def cells(self, graph: InformationFlowGraph) -> np.ndarray:
+        """The probability of each cell of ``graph.defender_cells``, in that order.
 
-        Every node multiplies the probabilities of its ``defender_cells``
-        left to right: tag, trap, then its relevant rules in ``relevance``
-        order; padding columns multiply by an exact 1.0.  Raises
-        ValidationError when the strategy was built for another node count.
+        Raises ValidationError when the strategy was built for another node
+        count.
         """
         if self.n != graph.n:
             raise ValidationError(
                 f"defender strategy covers {self.n} nodes but the graph has {graph.n}"
             )
-        probs = np.concatenate((self.probs, np.ones((self.probs.shape[0], 1))), axis=1)
-        rules = np.take_along_axis(probs, graph.rule_columns, axis=1)
-        d = probs[:, 0] * probs[:, 1]
-        for column in rules.T:
-            d *= column
+        return self.probs[graph.defender_cells]
+
+    def detection_vector(self, graph: InformationFlowGraph) -> np.ndarray:
+        """Per-node detection probability; index 0 (pseudo-source) is 0.
+
+        Every node multiplies its ``cells`` left to right, starting at its
+        tag: tag, trap, then its relevant rules in ``relevance`` order.
+        """
+        cells = self.cells(graph)
+        _, columns = graph.defender_cells
+        d = np.zeros(graph.n + 1)
+        d[1:] = np.multiply.reduceat(cells, np.flatnonzero(columns == 0))
         return d
 
     def __eq__(self, other):
         return isinstance(other, DefenderStrategy) and np.array_equal(self.probs, other.probs)
+
+
+def _clipped(probs: np.ndarray, locate) -> np.ndarray:
+    """``probs`` clipped to [0, 1], as a new array.
+
+    Raises ValidationError for a value further outside [0, 1] than rounding
+    explains; a non-finite value is named by its (node, column), which
+    ``locate`` gives for its flat index.
+    """
+    if not (np.all(probs >= -_PROB_TOL) and np.all(probs <= 1 + _PROB_TOL)):  # NaN fails
+        bad = np.flatnonzero(~np.isfinite(probs))
+        if bad.size:
+            node, column = locate(bad[0])
+            raise ValidationError(
+                f"defender probability at node {node}, column {column} is not a finite number"
+            )
+        raise ValidationError("defender probabilities must lie in [0, 1]")
+    return np.clip(probs, 0.0, 1.0)
 
 
 class AdversaryStrategy:
@@ -546,8 +588,13 @@ def strategy_costs(
     These depend on the defender strategy alone; rule costs are charged for
     every selected rule, relevant at the node or not.
     """
-    terms = defender.probs * params.cell_costs(graph)
-    return _exact_sum(terms[:, 0]), _exact_sum(terms[:, 1]), _exact_sum(terms[:, 2:])
+    return tuple(_exact_sum(terms) for terms in _cost_terms(graph, params, defender.probs))
+
+
+def _cost_terms(graph: InformationFlowGraph, params: GameParams, probs: np.ndarray):
+    """Tag, trap and rule cost terms of every cell of a defender matrix."""
+    tag, trap = params.tag_trap_costs(graph)
+    return probs[1:, 0] * tag, probs[1:, 1] * trap, probs[1:, 2:] * np.asarray(params.gamma)
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -647,6 +694,7 @@ class AbsorbingChain:
     def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
         self.graph = graph
         m = graph.n_stages
+        neighbors = graph.successors
         self.states = [(SOURCE, 1)]
         index = {self.states[0]: 0}
         frm, target, stage, new_stage, to, prob = [], [], [], [], [], []
@@ -658,6 +706,7 @@ class AbsorbingChain:
             succ.append([])
             leaks.append(False)
             for a, p in sorted(adversary.distribution(v, j).items()):
+                _check_move(neighbors, v, j, a)
                 if p <= 0.0:
                     continue
                 if a == DROP:
@@ -724,6 +773,12 @@ class AbsorbingChain:
         p_t, p_r = self.masses(defender.detection_vector(self.graph))
         tag, trap, rule = strategy_costs(self.graph, params, defender)
         return assemble_utilities(params, p_t, p_r, tag + trap + rule)
+
+
+def _check_move(succ: dict[int, tuple[int, ...]], v: int, j: int, a: int) -> None:
+    """Raise ValidationError unless the action ``a`` of state (v, j) is a drop or an edge."""
+    if a != DROP and a not in succ.get(v, ()):
+        raise ValidationError(f"state ({v}, {j}) moves to {a}, not a neighbor of {v}")
 
 
 def _closed_classes(succ: list[list[int]], leaks: list[bool]) -> list[list[int]]:
@@ -801,7 +856,7 @@ def evaluate_exact(
 _GUIDE_BUCKETS = 256  # a power of two, so u * B and its floor are exact
 
 
-def _move_tables(adversary: AdversaryStrategy, n: int, m: int):
+def _move_tables(graph: InformationFlowGraph, adversary: AdversaryStrategy):
     """Padded per-state action tables and a guide table over [0, 1).
 
     State (v, j) has code ``v * m + (j - 1)`` and owns the moves
@@ -819,12 +874,15 @@ def _move_tables(adversary: AdversaryStrategy, n: int, m: int):
     first move whose bound lies above b/B; from there, the draw settles by
     comparison.  Returns ``(known, width, target, cum, guide)``, where
     ``known`` flags the codes that have a distribution and ``target`` is the
-    action of each move; the arrays are flat.
+    action of each move; the arrays are flat.  Raises ValidationError for
+    an action that is neither a drop nor an edge.
     """
+    n, m, succ = graph.n, graph.n_stages, graph.successors
     rows, cols, acts, probs = [], [], [], []
     for (v, j), dist in adversary.moves.items():
         if 0 <= v <= n and 1 <= j <= m:
             for col, (a, p) in enumerate(sorted(dist.items())):
+                _check_move(succ, v, j, a)
                 rows.append(v * m + j - 1)
                 cols.append(col)
                 acts.append(a)
@@ -882,7 +940,7 @@ def evaluate_monte_carlo(
     n = graph.n
     rng = np.random.default_rng(seed)
     d = defender.detection_vector(graph)
-    known, width, target, cum, guide = _move_tables(adversary, n, m)
+    known, width, target, cum, guide = _move_tables(graph, adversary)
 
     sort_key = np.uint16 if (n + 1) * m <= 1 << 16 else np.int64  # numpy radix-sorts 16-bit keys
     # per move: the stage it leaves and the stage it reaches, and the next
@@ -1020,7 +1078,7 @@ def evaluate_pure_profile(
     nodes, columns = graph.defender_cells
     armed = np.arange(graph.n + 1) != SOURCE
     armed[nodes[bits[nodes, columns] == 0]] = False
-    cost = _exact_sum(bits * params.cell_costs(graph))
+    cost = _exact_sum(np.concatenate([t.ravel() for t in _cost_terms(graph, params, bits)]))
 
     m = graph.n_stages
     stage = 1

@@ -122,21 +122,6 @@ class InformationFlowGraph:
         return nodes, columns
 
     @cached_property
-    def rule_columns(self) -> np.ndarray:
-        """The rule cells of ``defender_cells``, one row per node id 0..n.
-
-        Rows are padded with column n + 2, one past the last real column;
-        row 0 (the pseudo-source) is all padding.
-        """
-        nodes, columns = self.defender_cells
-        n_rules = np.bincount(nodes, minlength=self.n + 1) - 2
-        table = np.full((self.n + 1, max(n_rules.max(), 0)), self.n + 2, dtype=np.intp)
-        # a boolean mask fills in row-major order, which is the node-major cell order
-        table[np.arange(table.shape[1]) < n_rules[:, None]] = columns[columns >= 2]
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def advance_table(self) -> np.ndarray:
         """``advance(v, j)`` at row v, column j, for node ids 0..n and stages 1..M.
 

@@ -48,9 +48,10 @@ class PlayerRoster:
 
     Order: move players (node-major, then stage), the entry player, tag
     players 1..n, trap players 1..n, rule players in ``defender_cells``
-    order.  Defender player ``defender_start + k`` owns the cell
-    (``defender_nodes[k]``, ``defender_columns[k]``); ``defender_index``
-    maps a (node, column) cell back to its player.
+    order.  Defender player ``defender_start + k`` owns cell
+    ``defender_cells[k]`` of ``graph.defender_cells``, at node
+    ``defender_nodes[k]``; ``defender_index`` maps a (node, column) cell
+    back to its player.
     """
 
     def __init__(self, graph: InformationFlowGraph):
@@ -73,10 +74,11 @@ class PlayerRoster:
         nodes, columns = graph.defender_cells
         # tags, then traps, then rules: the learner draws one uniform per
         # player in this order each iteration
-        cells = np.argsort(np.minimum(columns, 2), kind="stable")
-        self.defender_nodes, self.defender_columns = nodes[cells], columns[cells]
+        self.defender_cells = np.argsort(np.minimum(columns, 2), kind="stable")
+        self.defender_nodes = nodes[self.defender_cells]
         self.defender_index: dict[tuple[int, int], int] = {}
-        for node, column in zip(self.defender_nodes.tolist(), self.defender_columns.tolist()):
+        for node, column in zip(self.defender_nodes.tolist(),
+                                columns[self.defender_cells].tolist()):
             self.defender_index[(node, column)] = len(players)
             players.append(Player(("tag", "trap", "rule")[min(column, 2)], node, actions=(0, 1)))
         self.players = tuple(players)
@@ -88,18 +90,10 @@ class PlayerRoster:
     def n_defenders(self) -> int:
         return len(self.players) - self.defender_start
 
-    def profile_bits(self, actions) -> np.ndarray:
-        """Defender 0/1 matrix of a pure profile, shaped (n+1, 2+n)."""
-        bits = np.zeros((self.graph.n + 1, self.graph.n + 2))
-        bits[self.defender_nodes, self.defender_columns] = actions[self.defender_start:]
-        return bits
-
     def defender_strategy(self, distributions) -> DefenderStrategy:
-        probs = np.zeros((self.graph.n + 1, self.graph.n + 2))
-        probs[self.defender_nodes, self.defender_columns] = [
-            dist[1] for dist in distributions[self.defender_start:]
-        ]
-        return DefenderStrategy(probs)
+        values = np.empty(self.n_defenders)
+        values[self.defender_cells] = [dist[1] for dist in distributions[self.defender_start:]]
+        return DefenderStrategy.from_cells(self.graph, values)
 
     def adversary_strategy(self, distributions) -> AdversaryStrategy:
         graph = self.graph
@@ -221,7 +215,7 @@ class _Rollout:
         self.bd = np.concatenate(([0.0], np.cumsum(params.beta_d)))
         self.adv = graph.advance_table
         # defender block arrays, indexed by player - defender_start
-        self.def_cost = params.cell_costs(graph)[roster.defender_nodes, roster.defender_columns]
+        self.def_cost = params.cell_costs(graph)[roster.defender_cells]
         self.def_players_at = {
             node: np.flatnonzero(roster.defender_nodes == node) for node in range(1, graph.n + 1)
         }
@@ -576,53 +570,20 @@ def swap_regret(
     result: CorrelatedEquilibriumResult,
     graph: InformationFlowGraph,
     params: GameParams,
-    n_samples: int | None = None,
-    seed: int = 0,
 ) -> float:
     """Maximum expected gain of any single-player action swap under the joint.
 
-    With ``n_samples=None`` the regret is computed exactly over the stored
-    empirical joint distribution; otherwise over ``n_samples`` seeded draws
-    from it.  The value is the epsilon for which the joint is an
-    eps-correlated equilibrium; it is negative when every swap strictly
-    loses.
+    Computed exactly over the stored empirical joint distribution.  The
+    value is the epsilon for which the joint is an eps-correlated
+    equilibrium; it is negative when every swap strictly loses.
     """
-    gain, _ = swap_regret_report(result, graph, params, n_samples, seed)
-    return gain
-
-
-def swap_regret_report(
-    result: CorrelatedEquilibriumResult,
-    graph: InformationFlowGraph,
-    params: GameParams,
-    n_samples: int | None = None,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(max swap gain, standard error of that gain's estimate)."""
-    roster = result.roster
-    ctx = _Rollout(roster, params)
+    ctx = _Rollout(result.roster, params)
     joint = result.joint_profiles()
-    if n_samples is None:
-        rows = joint
-    else:
-        rng = np.random.default_rng(seed)
-        rows = joint[rng.integers(0, len(joint), size=n_samples)]
-    total = len(rows)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    uniq, counts = np.unique(joint, axis=0, return_counts=True)
     sums: dict[tuple[int, int, int], float] = {}
-    sqs: dict[tuple[int, int, int], float] = {}
     for profile, count in zip(uniq, counts):
         for idx, r, s, gain in _profile_gains(ctx, profile.astype(np.int64)):
-            key = (idx, r, s)
-            sums[key] = sums.get(key, 0.0) + count * gain
-            sqs[key] = sqs.get(key, 0.0) + count * gain * gain
+            sums[(idx, r, s)] = sums.get((idx, r, s), 0.0) + count * gain
     if not sums:
-        return 0.0, 0.0
-    best_key = max(sums, key=lambda k: sums[k])
-    best_gain = sums[best_key] / total
-    if n_samples is None or total < 2:
-        err = 0.0
-    else:
-        var = max(sqs[best_key] / total - best_gain**2, 0.0)
-        err = math.sqrt(var / total)
-    return best_gain, err
+        return 0.0
+    return max(sums.values()) / len(joint)

@@ -24,6 +24,7 @@ length.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,51 +140,31 @@ GroundElement = tuple[int, int, int]  # (node, component, level); component 1=ta
 
 
 def build_ground_set(
-    graph: InformationFlowGraph, levels, scheme: str = "component"
+    graph: InformationFlowGraph, levels: int, scheme: str = "component"
 ) -> tuple[GroundElement, ...]:
-    """Ordered ground set over defender probability levels.
+    """Ordered ground set over ``levels`` probability levels per defender cell.
 
-    ``scheme="component"``: one element per (node, component, level); a node
-    needs its tag, trap, and relevant-rule components selected independently.
-    Because detection multiplies the components, they are complements and the
-    payoff is NOT submodular over this ground set (see the node scheme for
-    the guaranteed case).
+    ``scheme="component"``: one element per (node, component, level), in
+    ``defender_cells`` order; a node needs its tag, trap, and relevant-rule
+    components selected independently.  Because detection multiplies the
+    components, they are complements and the payoff is NOT submodular over
+    this ground set (see the node scheme for the guaranteed case).
 
     ``scheme="node"``: one element per (node, level) that raises the node's
     tag, trap, and every relevant rule together by one level.  With a single
-    level per component the payoff is a weighted-coverage function plus
-    modular costs, hence submodular, and the double-greedy guarantees apply.
-    Requires all component level counts to be equal.
+    level the payoff is a weighted-coverage function plus modular costs,
+    hence submodular, and the double-greedy guarantees apply.
     """
-    levels = normalize_levels(graph, levels)
-    ground: list[GroundElement] = []
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise ValidationError(f"levels must be a positive integer, got {levels!r}")
     if scheme == "component":
         nodes, columns = graph.defender_cells
-        for node, column in zip(nodes.tolist(), columns.tolist()):
-            for level in range(1, levels[column] + 1):
-                ground.append((node, column + 1, level))
+        cells = zip(nodes.tolist(), (columns + 1).tolist())
     elif scheme == "node":
-        if len(set(levels)) != 1:
-            raise ValidationError("the node scheme needs one shared level count")
-        for node in range(1, graph.n + 1):
-            for level in range(1, levels[0] + 1):
-                ground.append((node, 0, level))
+        cells = ((node, 0) for node in range(1, graph.n + 1))
     else:
         raise ValidationError(f"unknown ground-set scheme {scheme!r}")
-    return tuple(ground)
-
-
-def normalize_levels(graph: InformationFlowGraph, levels) -> tuple[int, ...]:
-    if isinstance(levels, int):
-        levels = (levels,) * (graph.n + 2)
-    levels = tuple(int(z) for z in levels)
-    if len(levels) != graph.n + 2:
-        raise ValidationError(
-            f"levels must give one positive integer per component (2+n={graph.n + 2}), got {len(levels)}"
-        )
-    if any(z < 1 for z in levels):
-        raise ValidationError(f"all levels must be >= 1, got {levels}")
-    return levels
+    return tuple((node, comp, level) for node, comp in cells for level in range(1, levels + 1))
 
 
 class DefenderObjective:
@@ -199,39 +180,37 @@ class DefenderObjective:
         graph: InformationFlowGraph,
         params: GameParams,
         adversary: AdversaryStrategy,
-        levels=1,
+        levels: int = 1,
         scheme: str = "component",
     ):
         self.graph = graph
         params.check_against(self.graph)
         self.params = params
-        self.levels = normalize_levels(self.graph, levels)
+        self.levels = levels
         self.scheme = scheme
-        self.ground = build_ground_set(self.graph, self.levels, scheme)
+        self.ground = build_ground_set(self.graph, levels, scheme)
         self.n_evaluations = 0
         self._chain = AbsorbingChain(self.graph, adversary)
-        # (element, row, column) of every cell a ground element raises by one
-        # level; a whole-node bundle raises every cell of its node
-        nodes, columns = self.graph.defender_cells
-        cells = np.array([
-            (idx, node, column) for idx, (node, comp, _) in enumerate(self.ground)
-            for column in (columns[nodes == node] if comp == 0 else (comp - 1,))
-        ], dtype=np.intp).reshape(-1, 3)
-        self._cell_owner, self._cell_rows, self._cell_cols = cells.T
-        self._cell_step = 1.0 / np.array(self.levels, dtype=float)[self._cell_cols]
+        # element e raises cell e // levels of ``defender_cells`` in the
+        # component scheme and every cell of node e // levels + 1 in the node
+        # scheme; _steps[k] is k level steps of 1/levels, added one at a time
+        self._steps = np.array(list(itertools.accumulate([1.0 / levels] * levels, initial=0.0)))
 
     def strategy_for(self, selected) -> DefenderStrategy:
         """Every selected element adds one level step to each of its cells.
 
-        All adds to one cell are the same 1/levels constant, so the sums do
-        not depend on the order of the elements.
+        A cell raised k times holds ``_steps[k]``, the sum of k adds of the
+        same 1/levels constant, which does not depend on their order.
         """
         chosen = np.zeros(len(self.ground), dtype=bool)
         chosen[list(selected)] = True
-        take = chosen[self._cell_owner]
-        probs = np.zeros((self.graph.n + 1, self.graph.n + 2))
-        np.add.at(probs, (self._cell_rows[take], self._cell_cols[take]), self._cell_step[take])
-        return DefenderStrategy(probs)
+        owner = np.flatnonzero(chosen) // self.levels
+        nodes, _ = self.graph.defender_cells
+        if self.scheme == "component":
+            raised = np.bincount(owner, minlength=nodes.size)
+        else:
+            raised = np.bincount(owner, minlength=self.graph.n)[nodes - 1]
+        return DefenderStrategy.from_cells(self.graph, self._steps[raised])
 
     def value(self, selected) -> float:
         self.n_evaluations += 1
@@ -251,7 +230,7 @@ def marginal_gain(objective: DefenderObjective, selected, element: int) -> float
 class DiscretizedDefenderSet:
     """Output of the double-greedy pass over the level ground set."""
 
-    levels: tuple[int, ...]
+    levels: int
     scheme: str
     ground: tuple[GroundElement, ...]
     selected: tuple[int, ...]  # indices into ground
@@ -265,7 +244,7 @@ def defender_best_response_greedy(
     graph: InformationFlowGraph,
     params: GameParams,
     adversary: AdversaryStrategy,
-    levels=1,
+    levels: int = 1,
     variant: str = "randomized",
     seed: int = 0,
     scheme: str = "component",

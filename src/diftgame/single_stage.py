@@ -94,7 +94,7 @@ def _max_flow(network: FlowNetwork, tol: float) -> tuple[float, set[int]]:
     its tail's arc pointer advances.  The phase whose BFS misses the sink
     leaves the residual source side as its reached set.
     """
-    n_vertices = 2 * network.n + 2
+    n_vertices = network.sink + 1
     source, sink = network.source, network.sink
     head: list[list[int]] = [[] for _ in range(n_vertices)]
     to: list[int] = []
@@ -221,11 +221,12 @@ class SingleStageEquilibrium:
         pi = self.pi if pi is None else pi
         beta, alpha = params.beta_d[0], params.alpha_d
         detection = defender.detection_vector(graph)
-        price = params.cell_costs(graph)
+        terms = defender.cells(graph) * params.cell_costs(graph)
+        cells = _cell_slices(graph, list(pi))
         total = 0.0
         for node, weight in pi.items():
             prod = detection[node]
-            spent = _spending(price[node], defender.probs[node], _columns(graph, node))
+            spent = _spending(terms[cells[node]])
             total += weight * (prod * alpha + (1.0 - prod) * beta + spent)
         return total
 
@@ -242,18 +243,20 @@ class SingleStageEquilibrium:
         return (1.0 - prod) * params.beta_a[0] + prod * params.alpha_a
 
 
-def _columns(graph: InformationFlowGraph, node: int) -> list[int]:
-    """The defender columns of ``node``'s cells: tag, trap, then its rules."""
-    nodes, columns = graph.defender_cells
-    return columns[nodes == node].tolist()
+def _cell_slices(graph: InformationFlowGraph, nodes) -> dict[int, slice]:
+    """Per node, the slice of ``graph.defender_cells`` that holds its cells:
+    tag, trap, then its rules."""
+    cell_nodes, _ = graph.defender_cells
+    lo = np.searchsorted(cell_nodes, nodes, side="left").tolist()
+    hi = np.searchsorted(cell_nodes, nodes, side="right").tolist()
+    return {node: slice(a, b) for node, a, b in zip(nodes, lo, hi)}
 
 
-def _spending(price, row, columns) -> float:
-    """Expected defense spending of one node (signed): ``row`` and ``price`` are
-    its defender row and cell prices, ``columns`` its cells, tag and trap first."""
-    tag, trap, *rules = columns
-    return float(row[tag] * price[tag] + row[trap] * price[trap]
-                 + math.fsum(row[c] * price[c] for c in rules))
+def _spending(terms) -> float:
+    """Expected defense spending of one node (signed) from the cost terms of
+    its cells, tag and trap first."""
+    tag, trap, *rules = terms.tolist()
+    return tag + trap + math.fsum(rules)
 
 
 def _names(columns) -> str:
@@ -352,10 +355,10 @@ def solve_matrix_game(
 
     beta, alpha = params.beta_d[0], params.alpha_d
     denom = beta - alpha  # < 0
-    price = dict(zip(nodes, params.cell_costs(graph)[list(nodes)]))
-    columns = {node: _columns(graph, node) for node in nodes}
-    armed = (1.0,) * (graph.n + 2)  # every component on: the full spending
-    costs = {node: _spending(price[node], armed, columns[node]) for node in nodes}
+    price = params.cell_costs(graph)
+    _, columns = graph.defender_cells
+    cells = _cell_slices(graph, nodes)
+    costs = {node: _spending(price[cells[node]]) for node in nodes}  # every cell on
 
     # (b) indifference mixture
     t = {node: beta - alpha - costs[node] for node in nodes}
@@ -389,46 +392,46 @@ def solve_matrix_game(
         return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
 
     # (c) defender probabilities per cut node: each free component's
-    # cost-to-margin ratio pins the product of the other components
-    probs = np.zeros((graph.n + 1, graph.n + 2))
+    # cost-to-margin ratio pins the product of the other components; k runs
+    # over cell indices, which within a node follow the column order
+    values = np.zeros(price.size)
     products = {}
     clamp_notes = []
     for node in nodes:
         log_ratios = {}
-        for c in columns[node]:
-            ratio = float(price[node][c]) / denom
+        for k in range(cells[node].start, cells[node].stop):
+            ratio = float(price[k]) / denom
             if ratio <= 0.0:
                 raise DegenerateEquilibrium(
-                    f"cost ratio for component {c + 1} at node {node} is {ratio!r} <= 0 "
+                    f"cost ratio for component {columns[k] + 1} at node {node} is {ratio!r} <= 0 "
                     "(a zero-cost component cannot be mixed)"
                 )
-            log_ratios[c] = math.log(ratio)
-        free, clamped = columns[node], []
+            log_ratios[k] = math.log(ratio)
+        free, clamped = list(log_ratios), []
         while len(free) >= 2:
-            s = math.fsum(log_ratios[c] for c in free) / (len(free) - 1)
-            over = [c for c in free if math.exp(s - log_ratios[c]) > 1.0 + 1e-9]
+            s = math.fsum(log_ratios[k] for k in free) / (len(free) - 1)
+            over = [k for k in free if math.exp(s - log_ratios[k]) > 1.0 + 1e-9]
             if not over:
                 break
             clamped = sorted(clamped + over)
-            free = [c for c in free if c not in over]
+            free = [k for k in free if k not in over]
         # a clamped component may stay at 1 only while its marginal gain is
         # nonnegative: the product of the others, exp(s), is at least its ratio
-        if len(free) < 2 or any(s < log_ratios[c] for c in clamped):
+        if len(free) < 2 or any(s < log_ratios[k] for k in clamped):
             notes.append(
-                f"node {node}: clamping {_names(clamped)} to probability 1 leaves no "
-                f"interior solution for {_names(free) or 'no other component'}"
+                f"node {node}: clamping {_names(columns[clamped])} to probability 1 leaves no "
+                f"interior solution for {_names(columns[free]) or 'no other component'}"
             )
             return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
         if clamped:
-            clamp_notes.append(f"node {node}: {_names(clamped)} clamped to probability 1")
-        for c in free:
-            probs[node, c] = min(math.exp(s - log_ratios[c]), 1.0)
-        for c in clamped:
-            probs[node, c] = 1.0
+            clamp_notes.append(f"node {node}: {_names(columns[clamped])} clamped to probability 1")
+        for k in free:
+            values[k] = min(math.exp(s - log_ratios[k]), 1.0)
+        values[clamped] = 1.0
         products[node] = math.exp(s)
     notes += clamp_notes
 
-    defender = DefenderStrategy(probs)
+    defender = DefenderStrategy.from_cells(graph, values)
     spread = max(products.values()) - min(products.values())
     if spread > 1e-9:
         notes.append(
@@ -441,7 +444,7 @@ def solve_matrix_game(
         pi[i] * ((1.0 - products[i]) * params.beta_a[0] + products[i] * params.alpha_a)
         for i in nodes
     )
-    spent = {node: _spending(price[node], probs[node], columns[node]) for node in nodes}
+    spent = {node: _spending(values[cells[node]] * price[cells[node]]) for node in nodes}
     u_d = math.fsum(
         pi[i] * (products[i] * params.alpha_d + (1.0 - products[i]) * beta + spent[i])
         for i in nodes
@@ -466,16 +469,15 @@ def solve_matrix_game(
 def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
     """Dominant pure defender row plus the adversary's best response to it."""
     all_detect = all(t[i] < 0 for i in nodes)
-    probs = np.zeros((graph.n + 1, graph.n + 2))
+    cell_nodes, _ = graph.defender_cells
     if all_detect:
-        cell_nodes, cell_columns = graph.defender_cells
         on = np.isin(cell_nodes, nodes)
-        probs[cell_nodes[on], cell_columns[on]] = 1.0
         notes.append("all indifference coefficients negative: defender plays the Detected row")
     else:
+        on = np.zeros(cell_nodes.size, dtype=bool)
         reason = "all indifference coefficients positive: " if all(t[i] > 0 for i in nodes) else ""
         notes.append(reason + "defender plays the Not-detected row")
-    defender = DefenderStrategy(probs)
+    defender = DefenderStrategy.from_cells(graph, on)
     br = respond.adversary_best_response(graph, params, defender)
     detection = defender.detection_vector(graph)
     products = {node: float(detection[node]) for node in nodes}

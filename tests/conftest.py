@@ -23,7 +23,7 @@ import pytest
 
 from diftgame import game, ifg
 from diftgame.errors import ValidationError
-from diftgame.ifg import SOURCE, ensure_augmented
+from diftgame.ifg import SOURCE
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,6 @@ def oracle_best_path_value(graph, params, defender):
     in [0, 1], so the maximum over such simple walks is the global maximum.
     Returns -inf when no destination is reachable.
     """
-    graph = ensure_augmented(graph)
     d = defender.detection_vector(graph)
     m = graph.n_stages
     succ = graph.successors
@@ -144,7 +143,6 @@ def oracle_best_path_value(graph, params, defender):
 def oracle_separator_min_cost(graph, params):
     """Minimum cost of a node subset hitting every source-to-destination path,
     by exhaustive enumeration over all 2^n subsets (single-stage graphs)."""
-    graph = ensure_augmented(graph)
     n = graph.n
     caps = [abs(params.c1 * graph.traffic[i - 1] + params.c2 * graph.traffic[i - 1])
             for i in range(1, n + 1)]
@@ -339,7 +337,6 @@ def walk_outcomes(graph, defender, adversary):
     the crossing of stage j + 1 (0.0 when the walk does not cross it), and
     ``detection_prob`` is one minus the product of the survival factors.
     """
-    graph = ensure_augmented(graph)
     d = defender.detection_vector(graph)
     for walk in game.iter_walks(graph, adversary):
         survival = [1.0] + [1.0 - d[v] for v in walk.nodes[1:]]
@@ -392,9 +389,11 @@ def oracle_profile_walk(roster, actions):
 
 def oracle_profile_utilities(graph, params, roster, actions):
     """(u_d, u_a) of a pure profile from its planned walk and its bits."""
-    return game.evaluate_pure_profile(
-        graph, params, roster.profile_bits(actions), oracle_profile_walk(roster, actions)
-    )
+    nodes, columns = graph.defender_cells
+    bits = np.zeros((graph.n + 1, graph.n + 2))
+    cells = roster.defender_cells
+    bits[nodes[cells], columns[cells]] = actions[roster.defender_start:]
+    return game.evaluate_pure_profile(graph, params, bits, oracle_profile_walk(roster, actions))
 
 
 def oracle_gen_edges(rng, n_nodes, edge_density):
@@ -458,6 +457,15 @@ def oracle_detection_vector(defender, graph):
     return d
 
 
+def cell_price(graph, params, node, column):
+    """Price of the defender cell (node, column), read off the parameters."""
+    if column == 0:
+        return params.c1 * graph.traffic[node - 1]
+    if column == 1:
+        return params.c2 * graph.traffic[node - 1]
+    return params.gamma[column - 2]
+
+
 def oracle_strategy_costs(graph, params, defender):
     """Tag, trap and rule cost terms as three term-by-term ``fsum`` calls."""
     tag = math.fsum(
@@ -482,9 +490,9 @@ def oracle_strategy_for(objective, selected):
         node, comp, _ = objective.ground[idx]
         if comp == 0:  # whole-node bundle
             for c in [1, 2] + [2 + r for r in graph.relevance(node)]:
-                probs[node, c - 1] += 1.0 / objective.levels[c - 1]
+                probs[node, c - 1] += 1.0 / objective.levels
         else:
-            probs[node, comp - 1] += 1.0 / objective.levels[comp - 1]
+            probs[node, comp - 1] += 1.0 / objective.levels
     return game.DefenderStrategy(probs)
 
 
@@ -494,7 +502,6 @@ def oracle_monte_carlo(graph, params, defender, adversary, n_trials, seed, max_l
     Each step masks the active trials once per distinct (node, stage) code,
     in ascending code order, and draws that code's uniforms in trial order.
     """
-    graph = ensure_augmented(graph)
     if max_len is None:
         max_len = game.default_max_len(graph)
     m = graph.n_stages

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -495,3 +496,89 @@ LEARNER_RESPONSE_PINS = {
         "value: 1398.4537174822087 (6 of 176 ground elements, 354 evaluations)",
     ),
 }
+
+
+def run_cli_captured(args):
+    """(exit code, stdout, stderr) of one ``cli.main`` call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(args)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def interior_single_stage_graph():
+    """A one-stage generated graph with U(10, 40) traffic whose matrix game is interior."""
+    graph = generate.gen_graph(60, 1, 2, 3, 0.05, seed=3)
+    traffic = np.random.default_rng(3).uniform(10, 40, size=graph.n)
+    return dataclasses.replace(graph, traffic=tuple(traffic.tolist()), fractional_traffic=False)
+
+
+# SHA-256 of what commit d14d4db printed and wrote, before the matrix game
+# priced cells through the per-cell price vector instead of a dense matrix
+SINGLE_STAGE_PINS = {
+    "one_stage_1000": {
+        "stdout": "703f4f3bb9e1112200634218f4cdc7856ae653ef5c3b544b703dba3ff70523ad",
+        "stderr": "6d8a49ea98133c1b2bda95c03cf531cfa4cd7f0241269186f5b5b599729c7fb4",
+    },
+    "interior": {
+        "stdout": "79b95eff49036dbcf93dbe3b86af82d1255e99a168fc3b601da47da6815f0b74",
+        "stderr": "38fadfc35aa31e1e6be4e6a8c25f987b74390fecc89fa2a85dbd2b4ca0fb14db",
+        "defender.json": "381a8eca25899ad1738a2f650a4cd7ecf2b88a116cd64177c7cd86ee1f39496b",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_STAGE_PINS))
+def test_cli_solve_single_stdout_is_pinned(tmp_path, case):
+    graph_file = tmp_path / "graph.json"
+    if case == "interior":
+        ifg.save(interior_single_stage_graph(), graph_file)
+    else:
+        gen_args, _ = GENERATOR_PINS[case]
+        assert run_cli(["gen-graph", *gen_args, "--out-dir", tmp_path]) == 0
+    code, stdout, stderr = run_cli_captured(["solve-single", graph_file,
+                                             "--out-dir", tmp_path / "single"])
+    assert code == 0
+    assert stdout.splitlines()[0] == ("diagnostics: interior" if case == "interior"
+                                      else "diagnostics: boundary")
+    digests = {"stdout": sha256_text(stdout), "stderr": sha256_text(stderr)}
+    if case == "interior":
+        digests["defender.json"] = hashlib.sha256(
+            (tmp_path / "single" / "defender.json").read_bytes()).hexdigest()
+    assert digests == SINGLE_STAGE_PINS[case]
+
+
+FULL_TABLE_GRAPH = {
+    "nodes": [{"id": i, "label": f"p{i}", "traffic": 0.05 * i} for i in range(1, 11)],
+    "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [8, 9], [9, 10],
+              [10, 1], [2, 5], [3, 1], [5, 2], [6, 9], [7, 10], [8, 6]],
+    "stages": [[5], [9, 10]],
+    "vulnerable": [1, 2],
+}
+
+
+def test_cli_simulate_without_rule_relevance_is_pinned(tmp_path):
+    # a graph file without "rule_relevance" makes every rule relevant at
+    # every node, so the defender cell table holds all n(n+2) cells
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(FULL_TABLE_GRAPH))
+    graph = ifg.load(graph_file)
+    assert graph.defender_cells[0].size == graph.n * (graph.n + 2)
+    rng = np.random.default_rng(23)
+    game.save_defender(game.DefenderStrategy.random(graph, rng), tmp_path / "defender.json")
+    game.save_adversary(game.AdversaryStrategy.random(graph, rng), tmp_path / "adversary.json")
+    code, stdout, _ = run_cli_captured(["simulate", graph_file,
+                                        "--defender", tmp_path / "defender.json",
+                                        "--adversary", tmp_path / "adversary.json",
+                                        "--n-trials", 4000, "--seed", 5,
+                                        "--out-dir", tmp_path / "sim"])
+    assert code == 0
+    assert stdout == (tmp_path / "sim" / "report.csv").read_text()
+    # SHA-256 of report.csv as written by commit d14d4db, whose detection
+    # vector read the rule cells through a padded per-node column table
+    assert sha256_text(stdout) == (
+        "5b4d80fc6134ffe056a5c1ed6e7a9d6a473cca434154771d5c7c7f0cdacd63b4")

@@ -8,6 +8,7 @@ from diftgame.errors import InvalidPath, TruncationError, ValidationError
 from diftgame.game import DROP
 
 from conftest import (
+    cell_price,
     exhaustive_pure_defender_average,
     oracle_detection_prob,
     oracle_detection_vector,
@@ -48,11 +49,19 @@ def test_params_derived_costs_nonpositive():
     g = ifg.make_graph(2, [(1, 2)], [[2]], [1], traffic=[0.3, 0.7])
     p = game.GameParams(alpha_a=-1, beta_a=(1,), alpha_d=1, beta_d=(-1,), c1=-2, c2=-3, gamma=(-1, -1))
     costs = p.cell_costs(g)
-    assert costs.shape == (3, 4)
-    assert costs[1, 0] == pytest.approx(-0.6)
-    assert costs[2, 1] == pytest.approx(-2.1)
-    assert costs[1, 2:].tolist() == [-1.0, -1.0]
-    assert np.all(costs <= 0) and np.all(costs[0] == 0)
+    # every rule is relevant at both nodes: tag, trap, rule 1, rule 2 each
+    assert costs.shape == (8,)
+    assert costs[0] == pytest.approx(-0.6)
+    assert costs[5] == pytest.approx(-2.1)
+    assert costs[2:4].tolist() == [-1.0, -1.0]
+    assert np.all(costs <= 0)
+    g = ifg.make_graph(3, [(1, 2), (2, 3)], [[3]], [1], traffic=[0.2, 0.3, 0.5],
+                       rule_relevance=[(2,), (), (1, 3)])
+    p = game.GameParams(alpha_a=-1, beta_a=(1,), alpha_d=1, beta_d=(-1,), c1=-2, c2=-3,
+                        gamma=(-1, -4, -5))
+    nodes, columns = g.defender_cells
+    assert p.cell_costs(g).tolist() == [cell_price(g, p, v, c)
+                                        for v, c in zip(nodes.tolist(), columns.tolist())]
 
 
 def test_params_scaled_touches_only_costs():
@@ -291,7 +300,7 @@ def test_pure_profile_first_node_armed():
     bits[1, 2] = 1.0  # rule 1 relevant at node 1
     u_d, u_a = game.evaluate_pure_profile(g, p, bits, (0, 1, 2, 3))
     assert u_a == p.alpha_a
-    cost = p.cell_costs(g)[1, :3].sum()
+    cost = p.cell_costs(g)[:3].sum()  # node 1's tag, trap and rule 1
     assert u_d == pytest.approx(p.alpha_d + cost)
 
 
@@ -537,6 +546,20 @@ def test_absorbing_chain_missing_state_raises():
         game.AbsorbingChain(g, game.AdversaryStrategy({(0, 1): {1: 1.0}}))
 
 
+@pytest.mark.parametrize("evaluator", ["exact", "monte_carlo"])
+def test_evaluators_reject_moves_along_non_edges(evaluator):
+    # on 1 -> 2 -> 3 with stage {3}, the move (1, 1) -> 3 jumps over node 2
+    g = chain_instance()
+    p = game.default_params(g)
+    adv = game.AdversaryStrategy({(0, 1): {1: 1.0}, (1, 1): {3: 1.0}, (2, 1): {DROP: 1.0}})
+    d = game.DefenderStrategy.zeros(g)
+    with pytest.raises(ValidationError, match=r"^state \(1, 1\) moves to 3, not a neighbor of 1$"):
+        if evaluator == "exact":
+            game.evaluate_exact(g, p, d, adv)
+        else:
+            game.evaluate_monte_carlo(g, p, d, adv, 100, 0)
+
+
 def test_compiled_paths_cap_error_reports_unenumerated_mass():
     rng = np.random.default_rng(30)
     g = generate.gen_graph(30, 3, 2, 2, 0.1, seed=30)
@@ -560,6 +583,8 @@ def kernel_graphs(rng):
     yield ifg.make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [[3], [5]], [1])  # all rules everywhere
     yield random_dag_instance(rng, n_max=8, m_max=3)
     yield generate.gen_graph(30, 3, 2, 2, 0.1, seed=4)
+    # every rule relevant at every node: 302 cells a node, one long product each
+    yield ifg.make_graph(300, [(i, i + 1) for i in range(1, 300)], [[300]], [1])
 
 
 def sparse_defender(graph, rng):
@@ -570,11 +595,10 @@ def sparse_defender(graph, rng):
 
 def test_detection_vector_matches_per_node_products(rng):
     for g in kernel_graphs(rng):
-        for graph in (g, ifg.ensure_augmented(g)):
-            for d in (game.DefenderStrategy.random(g, rng), sparse_defender(g, rng),
-                      game.DefenderStrategy.full(g, 1.0)):
-                got = d.detection_vector(graph)
-                assert got.tobytes() == oracle_detection_vector(d, graph).tobytes()
+        for d in (game.DefenderStrategy.random(g, rng), sparse_defender(g, rng),
+                  game.DefenderStrategy.full(g, 1.0)):
+            got = d.detection_vector(g)
+            assert got.tobytes() == oracle_detection_vector(d, g).tobytes()
 
 
 def test_strategy_costs_match_termwise_fsum(rng):
@@ -607,7 +631,6 @@ def hub_graph(spokes):
 
 def reshaped(graph, rng, shape):
     """A strategy whose every state's distribution is ``shape(actions, rng)``."""
-    graph = ifg.ensure_augmented(graph)
     moves = {}
     for v, j in game.AdversaryStrategy.decision_states(graph):
         actions = [DROP] + sorted(graph.successors.get(v, ()))

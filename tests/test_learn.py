@@ -9,6 +9,7 @@ from diftgame.game import DROP
 from diftgame.learn import ADVANCE, LearnerConfig, PlayerRoster, fixed_point, swap_distribution
 
 from conftest import (
+    cell_price,
     oracle_power_iteration,
     oracle_profile_utilities,
     oracle_stationary,
@@ -176,7 +177,7 @@ def test_expected_swap_utility_defender_off_path_is_flat(rng):
     for swapped in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
         got = learn.expected_swap_utility(roster, idx, swapped, profile, g, p)
         base = learn.expected_swap_utility(roster, idx, [1.0, 0.0], profile, g, p)
-        assert got == pytest.approx(base + swapped[1] * p.cell_costs(g)[2, 0], abs=1e-12)
+        assert got == pytest.approx(base + swapped[1] * cell_price(g, p, 2, 0), abs=1e-12)
 
 
 def test_expected_swap_utility_matches_sampling_oracle(rng):
@@ -403,22 +404,12 @@ def test_swap_regret_positive_under_uniform_joint():
     assert learn.swap_regret(res, g, p) > 1.0
 
 
-def test_swap_regret_sampled_close_to_exact(rng):
-    g = random_dag_instance(rng, n_max=5, m_max=2)
-    p = random_params(rng, g.n, g.n_stages)
-    res = learn.run(g, p, LearnerConfig(eta=0.02, eps=1e-5, max_iters=800, seed=6))
-    exact = learn.swap_regret(res, g, p)
-    sampled, err = learn.swap_regret_report(res, g, p, n_samples=20_000, seed=8)
-    assert abs(sampled - exact) <= 5 * max(err, 1e-3)
-
-
 def test_swap_regret_post_convergence_is_small(rng):
     g = random_dag_instance(rng, n_max=5, m_max=1)
     p = random_params(rng, g.n, 1)
     res = learn.run(g, p, LearnerConfig(eta=0.01, eps=1e-9, max_iters=6000, seed=5))
-    gain, err = learn.swap_regret_report(res, g, p, n_samples=100_000, seed=9)
     scale = p.alpha_d - p.beta_d[0]
-    assert gain <= 0.05 * scale + 3 * err
+    assert learn.swap_regret(res, g, p) <= 0.05 * scale
 
 
 def test_swap_regret_decreases_with_budget(rng):

@@ -8,7 +8,13 @@ from diftgame import game, generate, ifg, respond
 from diftgame.errors import Unreachable, ValidationError
 from diftgame.game import DROP
 
-from conftest import oracle_best_path_value, oracle_strategy_for, random_dag_instance, random_params
+from conftest import (
+    cell_price,
+    oracle_best_path_value,
+    oracle_strategy_for,
+    random_dag_instance,
+    random_params,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ def test_marginal_gain_off_path_is_pure_cost(rng):
     for element, (node, comp, _) in enumerate(objective.ground):
         if node != 2:
             continue
-        expected = p.cell_costs(g)[2, comp - 1]
+        expected = cell_price(g, p, 2, comp - 1)
         gain = respond.marginal_gain(objective, set(), element)
         assert gain == pytest.approx(expected / 2.0, abs=1e-12)
 
@@ -297,8 +303,8 @@ def test_greedy_evaluation_budget(rng):
 def test_greedy_induced_probabilities_are_level_fractions(rng):
     g, p, adv = small_instance(rng, n_max=4)
     res = respond.defender_best_response_greedy(g, p, adv, levels=3)
-    levels = np.array(res.levels)
-    scaled = res.strategy.probs[1:] * levels[None, :]
+    assert res.levels == 3
+    scaled = res.strategy.probs[1:] * res.levels
     assert np.allclose(scaled, np.round(scaled), atol=1e-9)
 
 
@@ -314,8 +320,7 @@ def test_strategy_for_matches_per_element_loop(rng):
     for g in (random_dag_instance(rng, n_max=6, m_max=2),
               generate.gen_graph(30, 3, 2, 2, 0.1, seed=4)):
         adv = game.AdversaryStrategy.random(g, rng)
-        per_component = tuple(int(z) for z in rng.integers(1, 8, size=g.n + 2))
-        for levels, scheme in ((1, "component"), (per_component, "component"),
+        for levels, scheme in ((1, "component"), (3, "component"), (7, "component"),
                                (3, "node"), (7, "node")):
             objective = respond.DefenderObjective(g, game.default_params(g), adv, levels, scheme)
             n = len(objective.ground)
@@ -349,7 +354,9 @@ def test_objective_is_exact_on_cyclic_support(monkeypatch):
 
 def test_levels_validation():
     g = ifg.make_graph(2, [(1, 2)], [[2]], [1])
-    with pytest.raises(ValidationError):
-        respond.normalize_levels(g, (1, 2))
-    with pytest.raises(ValidationError):
-        respond.normalize_levels(g, 0)
+    for levels in ((1, 2), 0, 1.5):
+        with pytest.raises(ValidationError, match="levels must be a positive integer"):
+            respond.build_ground_set(g, levels)
+        with pytest.raises(ValidationError, match="levels must be a positive integer"):
+            respond.DefenderObjective(g, game.default_params(g),
+                                      game.AdversaryStrategy.uniform(g), levels)

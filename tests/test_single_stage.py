@@ -7,7 +7,7 @@ import pytest
 from diftgame import game, ifg, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
-from conftest import oracle_recursive_dinic, oracle_separator_min_cost, random_params
+from conftest import cell_price, oracle_recursive_dinic, oracle_separator_min_cost, random_params
 from diftgame.generate import gen_graph
 
 
@@ -116,13 +116,12 @@ def test_min_cut_flow_equals_cost_and_disconnects(rng):
         cut = single_stage.min_cut(net)
         assert cut.cost == pytest.approx(cut.flow_value, abs=1e-9)
         # removing the cut nodes disconnects source from destinations
-        aug = ifg.ensure_augmented(g)
         blocked = set(cut.cut_nodes)
         stack, seen = [0], {0}
         dest = set(g.stages[0])
         while stack:
             u = stack.pop()
-            for w in aug.successors.get(u, ()):
+            for w in g.successors.get(u, ()):
                 if w in blocked or w in seen:
                     continue
                 assert w not in dest
@@ -187,7 +186,7 @@ def test_long_chain_cuts_its_cheapest_node(n):
     eq = single_stage.solve_single_stage(g, p)
     cheapest = int(np.argmin(g.traffic)) + 1
     assert eq.cut.cut_nodes == (cheapest,)
-    assert eq.cut.flow_value == abs(p.cell_costs(g)[cheapest, 0] + p.cell_costs(g)[cheapest, 1])
+    assert eq.cut.flow_value == abs(cell_price(g, p, cheapest, 0) + cell_price(g, p, cheapest, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +269,8 @@ def test_interior_defender_probabilities_solve_ratio_system(rng):
             rel = eq.relevance[node]
             prod = row[0] * row[1] * math.prod(row[1 + r] for r in rel)
             # trap * rules = tag cost over the detection margin, etc.
-            assert prod / row[0] == pytest.approx(p.cell_costs(g)[node, 0] / denom, rel=1e-9)
-            assert prod / row[1] == pytest.approx(p.cell_costs(g)[node, 1] / denom, rel=1e-9)
+            assert prod / row[0] == pytest.approx(cell_price(g, p, node, 0) / denom, rel=1e-9)
+            assert prod / row[1] == pytest.approx(cell_price(g, p, node, 1) / denom, rel=1e-9)
             for r in rel:
                 assert prod / row[1 + r] == pytest.approx(p.gamma[r - 1] / denom, rel=1e-9)
             assert eq.products[node] == pytest.approx(prod, rel=1e-12)
@@ -335,10 +334,10 @@ def test_tag_probability_above_one_is_clamped():
     denom = p.beta_d[0] - p.alpha_d
     prod = row[0] * row[1] * row[2]
     assert 0.0 < row[1] < 1.0 and 0.0 < row[2] < 1.0
-    assert prod / row[1] == pytest.approx(p.cell_costs(g)[node, 1] / denom, rel=1e-12)
+    assert prod / row[1] == pytest.approx(cell_price(g, p, node, 1) / denom, rel=1e-12)
     assert prod / row[2] == pytest.approx(p.gamma[0] / denom, rel=1e-12)
     # the clamped tag's marginal gain: the product of the others beats its ratio
-    assert prod / row[0] >= p.cell_costs(g)[node, 0] / denom
+    assert prod / row[0] >= cell_price(g, p, node, 0) / denom
     assert eq.products[node] == pytest.approx(prod, rel=1e-12)
     assert_no_profitable_defender_deviation(eq, g, p)
 
