@@ -472,21 +472,72 @@ def export_dot(graph: InformationFlowGraph) -> str:
 
 
 def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ...]:
-    """For each node, the sorted entry indices with a directed path to it.
+    """For each node, the sorted entry nodes with a directed path to it.
 
     An entry reaches itself.  This is the per-node security-rule set used by
     the single-stage solution and by the synthetic graph generator.
+
+    One pass: Tarjan's algorithm condenses the part of the graph the entries
+    reach into strongly connected components, each holding one Python-int
+    bitmask of entries (bit i for the i-th entry).  Components close in
+    reverse topological order, so walking the closed nodes backwards reaches
+    every component after all of its predecessors, and each edge ORs its
+    tail's mask into its head's once.
     """
-    reached: list[set[int]] = [set() for _ in range(graph.n + 1)]
     succ = graph.successors
-    for e in graph.vulnerable:
-        stack = [e]
-        seen = {e}
-        while stack:
-            u = stack.pop()
-            reached[u].add(e)
-            for w in succ.get(u, ()):
-                if w not in seen and w != SOURCE:
-                    seen.add(w)
+    entries = sorted(set(graph.vulnerable))
+    bit = {e: 1 << i for i, e in enumerate(entries)}
+    index = [0] * (graph.n + 1)  # visit order from 1; 0 is unvisited
+    low = [0] * (graph.n + 1)
+    comp = [-1] * (graph.n + 1)  # -1 while unvisited or on the Tarjan stack
+    masks: list[int] = []  # per component
+    closed: list[int] = []  # nodes in the order their components close
+    stack: list[int] = []
+    order = 0
+    for root in entries:
+        if index[root]:
+            continue
+        order += 1
+        index[root] = low[root] = order
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, it = work[-1]
+            for w in it:
+                if w == SOURCE:
+                    continue
+                if not index[w]:
+                    order += 1
+                    index[w] = low[w] = order
                     stack.append(w)
-    return tuple(tuple(sorted(reached[i])) for i in range(1, graph.n + 1))
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[u]:
+                    low[u] = index[w]
+            else:  # u is finished
+                work.pop()
+                if work and low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
+                if low[u] == index[u]:
+                    mask = 0
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(masks)
+                        mask |= bit.get(w, 0)
+                        closed.append(w)
+                        if w == u:
+                            break
+                    masks.append(mask)
+    for u in reversed(closed):
+        c = comp[u]
+        for w in succ[u]:
+            if w != SOURCE and comp[w] != c:
+                masks[comp[w]] |= masks[c]
+    names: dict[int, tuple[int, ...]] = {0: ()}
+    out = []
+    for c in comp[1:]:
+        mask = masks[c] if c >= 0 else 0
+        if mask not in names:
+            names[mask] = tuple(e for e in entries if mask & bit[e])
+        out.append(names[mask])
+    return tuple(out)

@@ -2,13 +2,15 @@
 
 For a one-stage attack the defender's equilibrium support is a minimum-cost
 node cut between the attack source and the destination set, where a node's
-cost is the magnitude of its combined tag+trap cost.  The cut comes from an
-iterative Dinic max-flow on the node-split network, so it handles attack
-paths of any length.  The equilibrium itself
-comes from a small matrix game over the cut nodes: the adversary mixes over
-disjoint attack paths (one per cut node) so the defender is indifferent
-between detecting and not, and the defender's per-component probabilities
-solve a log-linear system that equalizes detection products.
+cost is the magnitude of its combined tag+trap cost.  The cut comes from a
+Boykov-Kolmogorov max-flow on the node-split network; it is iterative, so it
+handles attack paths of any length.  The cut is the minimal minimum cut (the
+residual source side), which every maximum flow shares, so it does not depend
+on the max-flow algorithm.  The equilibrium itself comes from a small matrix
+game over the cut nodes: the adversary mixes over disjoint attack paths (one
+per cut node) so the defender is indifferent between detecting and not, and
+the defender's per-component probabilities solve a log-linear system that
+equalizes detection products.
 
 Payoff conventions: the matrix game charges a cut node's defense spending on
 the attack path through it (weighted by that path's probability); the
@@ -31,6 +33,7 @@ from .game import DefenderStrategy, GameParams
 from .ifg import SOURCE, InformationFlowGraph, entry_reachability
 
 _CAP_TOL = 1e-12
+_NONE, _ROOT = -1, -2  # tree-parent marks of a free vertex or orphan, and of a root
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,18 @@ class MinCutResult:
 
 
 def _max_flow(network: FlowNetwork, tol: float) -> tuple[float, set[int]]:
-    """Dinic's max-flow; returns the flow value and the residual source side.
+    """Boykov-Kolmogorov max-flow; returns the flow value and the residual source side.
 
-    Each phase builds BFS levels over arcs with residual capacity above
-    ``tol`` and then pushes augmenting walks along the level graph.  A walk is
-    an explicit stack of arc ids: on a dead end the last arc is dropped and
-    its tail's arc pointer advances.  The phase whose BFS misses the sink
-    leaves the residual source side as its reached set.
+    A source tree and a sink tree grow from a FIFO queue of active vertices
+    over arcs with residual capacity above ``tol``.  Where a source-tree arc
+    reaches the sink tree, the path through both trees is augmented.  The
+    vertices whose tree arcs saturate become orphans, and each orphan either
+    adopts a new parent of its own tree that still walks back to the tree's
+    root or is freed.  The trees survive between augmentations, so a
+    search never restarts from scratch.  When the queue empties no augmenting
+    path is left, and one BFS over residual arcs gives the source side: the
+    same set for every maximum flow (Picard and Queyranne), so the cut does
+    not depend on the augmentation order.
     """
     n_vertices = network.sink + 1
     source, sink = network.source, network.sink
@@ -106,46 +114,91 @@ def _max_flow(network: FlowNetwork, tol: float) -> tuple[float, set[int]]:
         head[v].append(len(to))
         to.append(u)
         cap.append(0.0)
+    # tree[v]: 0 free, 1 source tree, 2 sink tree.  parent[v] is the tree arc
+    # parent -> v in the source tree and v -> parent in the sink tree; _ROOT
+    # marks the two roots and _NONE a free vertex or an orphan.
+    tree = [0] * n_vertices
+    parent = [_NONE] * n_vertices
+    tree[source], tree[sink] = 1, 2
+    parent[source] = parent[sink] = _ROOT
+    active = deque([source, sink])
+    orphans: deque[int] = deque()
     flow = 0.0
-    while True:
-        level = [-1] * n_vertices
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in head[u]:
-                v = to[e]
-                if cap[e] > tol and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow, {v for v in range(n_vertices) if level[v] >= 0}
-        it = [0] * n_vertices
-        walk: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(cap[e] for e in walk)
-                for e in walk:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                flow += pushed
-                walk.clear()
-                u = source
-                continue
-            arcs = head[u]
-            while it[u] < len(arcs):
-                e = arcs[it[u]]
-                if cap[e] > tol and level[to[e]] == level[u] + 1:
-                    walk.append(e)
-                    u = to[e]
+    while active:
+        p = active[0]
+        side = tree[p]
+        if not side:  # freed after it was queued
+            active.popleft()
+            continue
+        meet = -1
+        for e in head[p]:
+            a = e if side == 1 else e ^ 1  # the residual arc the tree grows along
+            if cap[a] > tol:
+                q = to[e]
+                if tree[q] == 0:
+                    tree[q] = side
+                    parent[q] = a
+                    active.append(q)
+                elif tree[q] != side:
+                    meet = a
                     break
-                it[u] += 1
-            else:  # dead end: back up one arc and skip it
-                if not walk:
-                    break
-                u = to[walk.pop() ^ 1]
-                it[u] += 1
+        if meet < 0:  # p has no residual arc left to grow along
+            active.popleft()
+            continue
+        # augment source ~> to[meet ^ 1] -> to[meet] ~> sink; p stays active
+        path = [(meet, _NONE)]  # (arc, the vertex whose tree arc it is, if any)
+        v = to[meet ^ 1]
+        while v != source:
+            path.append((parent[v], v))
+            v = to[parent[v] ^ 1]
+        v = to[meet]
+        while v != sink:
+            path.append((parent[v], v))
+            v = to[parent[v]]
+        pushed = min(cap[e] for e, _ in path)
+        for e, v in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+            if cap[e] <= tol and v != _NONE:
+                parent[v] = _NONE
+                orphans.append(v)
+        flow += pushed
+        while orphans:
+            v = orphans.popleft()
+            side = tree[v]
+            for e in head[v]:
+                a = e ^ 1 if side == 1 else e  # the arc a new parent would hold
+                q = to[e]
+                if tree[q] == side and cap[a] > tol:
+                    w = q  # adopt q only if it still walks back to its root
+                    while parent[w] >= 0:
+                        w = to[parent[w] ^ 1] if side == 1 else to[parent[w]]
+                    if parent[w] == _ROOT:
+                        parent[v] = a
+                        break
+            else:  # no parent left: free v; its children become orphans
+                tree[v] = 0
+                for e in head[v]:
+                    q = to[e]
+                    if tree[q] != side:
+                        continue
+                    if cap[e ^ 1 if side == 1 else e] > tol:
+                        active.append(q)
+                    a = parent[q]
+                    if a >= 0 and to[a ^ 1 if side == 1 else a] == v:
+                        parent[q] = _NONE
+                        orphans.append(q)
+    seen = [False] * n_vertices
+    seen[source] = True
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for e in head[u]:
+            v = to[e]
+            if cap[e] > tol and not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return flow, {v for v in range(n_vertices) if seen[v]}
 
 
 def min_cut(network: FlowNetwork) -> MinCutResult:

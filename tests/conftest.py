@@ -5,12 +5,14 @@ adversary-value oracle enumerates stage-respecting walks directly, the
 separator oracle enumerates node subsets, the stationary-distribution
 oracle solves a dense linear system, the walk oracles score the walks of
 ``game.iter_walks`` one by one, the profile-walk oracle plans a pure
-profile's walk step by step, and the recursive-Dinic oracle is the former
-min-cut flow that the iterative one must reproduce bit for bit.  The kernel oracles are the former per-node,
-per-term, per-state and per-element loops that the vectorized kernels must
-reproduce bit for bit; the edge-draw oracle is the generator's former scalar
-loop, and the staged-reachability oracle searches (node, stage) states to
-check the generator's backbone guarantee.
+profile's walk step by step, and the two Dinic oracles (the former recursive
+and iterative max-flows) give the min cut that the Boykov-Kolmogorov one must
+reproduce.  The kernel oracles are the former per-node, per-term, per-state
+and per-element loops that the vectorized kernels must reproduce bit for
+bit; the edge-draw oracle is the generator's former scalar loop, the
+entry-reachability oracle is the former one search per entry, and the
+staged-reachability oracle searches (node, stage) states to check the
+generator's backbone guarantee.
 """
 
 from __future__ import annotations
@@ -247,23 +249,97 @@ class _RecursiveDinic:
         return seen
 
 
+def _tolerance(network) -> float:
+    """The library's saturation tolerance: 1e-12 of the largest finite capacity."""
+    finite = [c for c in network.capacities if math.isfinite(c)]
+    return 1e-12 * max(1.0, max(finite, default=1.0))
+
+
+def _cut_of_side(network, flow, side):
+    """(flow_value, cost, cut_nodes) of the split arcs leaving a residual source side."""
+    if network.sink in side:
+        return 0.0, 0.0, ()
+    arcs = zip(network.arcs, network.capacities)
+    cut = [(u, c) for (u, v), c in arcs if u in side and v not in side]
+    return flow, math.fsum(c for _, c in cut), tuple(sorted(u for u, _ in cut))
+
+
 def oracle_recursive_dinic(network):
     """(flow_value, cost, cut_nodes) of the former recursive min cut.
 
     Recursion depth grows with the augmenting path, so keep instances to a
     few hundred vertices.
     """
-    finite = [c for c in network.capacities if math.isfinite(c)]
-    dinic = _RecursiveDinic(2 * network.n + 2, 1e-12 * max(1.0, max(finite, default=1.0)))
+    dinic = _RecursiveDinic(2 * network.n + 2, _tolerance(network))
     for (u, v), c in zip(network.arcs, network.capacities):
         dinic.add_arc(u, v, c)
     flow = dinic.max_flow(network.source, network.sink)
-    side = dinic.residual_side(network.source)
-    if network.sink in side:
-        return 0.0, 0.0, ()
-    cut_arcs = [(u, v) for u, v in network.arcs if u in side and v not in side]
-    cost = math.fsum(network.capacities[network.arcs.index(a)] for a in cut_arcs)
-    return flow, cost, tuple(sorted(u for u, _ in cut_arcs))
+    return _cut_of_side(network, flow, dinic.residual_side(network.source))
+
+
+def oracle_dinic(network):
+    """(flow_value, cost, cut_nodes) of the former iterative Dinic min cut.
+
+    Each phase builds BFS levels over arcs with residual capacity above the
+    tolerance and then pushes augmenting walks along the level graph.  A walk
+    is an explicit stack of arc ids: on a dead end the last arc is dropped and
+    its tail's arc pointer advances.  The phase whose BFS misses the sink
+    leaves the residual source side as its reached set, so paths of any
+    length fit in memory.
+    """
+    tol = _tolerance(network)
+    n_vertices = network.sink + 1
+    source, sink = network.source, network.sink
+    head: list[list[int]] = [[] for _ in range(n_vertices)]
+    to: list[int] = []
+    cap: list[float] = []
+    for (u, v), c in zip(network.arcs, network.capacities):
+        head[u].append(len(to))  # arc e's reverse is e ^ 1
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0.0)
+    flow = 0.0
+    while True:
+        level = [-1] * n_vertices
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for e in head[u]:
+                v = to[e]
+                if cap[e] > tol and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            return _cut_of_side(network, flow, {v for v in range(n_vertices) if level[v] >= 0})
+        it = [0] * n_vertices
+        walk: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = min(cap[e] for e in walk)
+                for e in walk:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                walk.clear()
+                u = source
+                continue
+            arcs = head[u]
+            while it[u] < len(arcs):
+                e = arcs[it[u]]
+                if cap[e] > tol and level[to[e]] == level[u] + 1:
+                    walk.append(e)
+                    u = to[e]
+                    break
+                it[u] += 1
+            else:  # dead end: back up one arc and skip it
+                if not walk:
+                    break
+                u = to[walk.pop() ^ 1]
+                it[u] += 1
 
 
 def swap_chain(delta):
@@ -405,6 +481,24 @@ def oracle_gen_edges(rng, n_nodes, edge_density):
         for v in range(1, n_nodes + 1):
             if u != v and rng.random() < edge_density:
                 yield (u, v)
+
+
+def oracle_entry_reachability(graph):
+    """The former per-entry search: one DFS from each entry, adding it to
+    every node it reaches."""
+    reached: list[set[int]] = [set() for _ in range(graph.n + 1)]
+    succ = graph.successors
+    for e in graph.vulnerable:
+        stack = [e]
+        seen = {e}
+        while stack:
+            u = stack.pop()
+            reached[u].add(e)
+            for w in succ.get(u, ()):
+                if w not in seen and w != SOURCE:
+                    seen.add(w)
+                    stack.append(w)
+    return tuple(tuple(sorted(reached[i])) for i in range(1, graph.n + 1))
 
 
 def staged_reachability_ok(graph):

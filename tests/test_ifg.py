@@ -8,7 +8,7 @@ import pytest
 from diftgame import game, generate, ifg
 from diftgame.errors import ParseError, ValidationError
 
-from conftest import oracle_gen_edges
+from conftest import oracle_entry_reachability, oracle_gen_edges
 
 
 def chain(n=3, stages=((3,),), vulnerable=(1,)):
@@ -315,6 +315,26 @@ def test_entry_reachability_includes_entry_itself():
     g = chain()
     reach = ifg.entry_reachability(g)
     assert reach == ((1,), (1,), (1,))
+
+
+def test_entry_reachability_matches_one_search_per_entry():
+    # random graphs with cycles, self-loops, unreachable nodes and several
+    # entries, and a bidirectional grid, which is one strongly connected component
+    rng = np.random.default_rng(11)
+    graphs = []
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n + 1))
+        edges = [(int(u), int(v)) for u, v in rng.integers(1, n + 1, (m, 2))]
+        entries = rng.integers(1, n + 1, int(rng.integers(1, 6))).tolist()
+        graphs.append(ifg.make_graph(n, edges, [[n]], entries))
+    k = 12
+    right = [(u, u + 1) for u in range(1, k * k) if u % k]
+    down = [(u, u + k) for u in range(1, k * k - k + 1)]
+    edges = right + down + [(v, u) for u, v in right + down]
+    graphs.append(ifg.make_graph(k * k, edges, [[k * k]], range(1, k * k, k)))
+    for g in graphs:
+        assert ifg.entry_reachability(g) == oracle_entry_reachability(g)
 
 
 def test_advance_cascades_through_overlapping_stages():

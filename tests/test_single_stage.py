@@ -7,7 +7,9 @@ import pytest
 from diftgame import game, ifg, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
-from conftest import cell_price, oracle_recursive_dinic, oracle_separator_min_cost, random_params
+from conftest import (
+    cell_price, oracle_dinic, oracle_recursive_dinic, oracle_separator_min_cost, random_params,
+)
 from diftgame.generate import gen_graph
 
 
@@ -150,8 +152,9 @@ def test_min_cut_heterogeneous_traffic_against_oracle(rng):
         assert cut.cost == pytest.approx(oracle_separator_min_cost(g, p), abs=1e-9)
 
 
-def grid_graph(k, rng):
-    """k x k grid, entries on the left column, destinations on the right."""
+def grid_graph(k, rng, low=0.5, high=4.0, ends=None):
+    """k x k grid, entries on the left column, destinations on the right;
+    ``ends`` fixes the traffic of both columns."""
     def nid(r, c):
         return r * k + c + 1
 
@@ -159,12 +162,23 @@ def grid_graph(k, rng):
              for r in range(k) for c in range(k)
              for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))
              if 0 <= r + dr < k and 0 <= c + dc < k]
-    return ifg.make_graph(k * k, edges, [[nid(r, k - 1) for r in range(k)]],
-                          [nid(r, 0) for r in range(k)],
-                          traffic=rng.uniform(0.5, 4.0, k * k).tolist(), rule_relevance={})
+    entries = [nid(r, 0) for r in range(k)]
+    dests = [nid(r, k - 1) for r in range(k)]
+    traffic = rng.uniform(low, high, k * k)
+    if ends is not None:
+        traffic[np.array(entries + dests) - 1] = ends
+    return ifg.make_graph(k * k, edges, [dests], entries, traffic=traffic.tolist(),
+                          rule_relevance={}, fractional_traffic=False)
 
 
-def test_min_cut_matches_recursive_dinic_bit_for_bit(rng):
+def assert_same_cut(cut, oracle):
+    """Cut nodes and cost equal; the flow value only up to summation order."""
+    flow, cost, nodes = oracle
+    assert (cut.cut_nodes, cut.cost) == (nodes, cost)
+    assert math.isclose(cut.flow_value, flow, rel_tol=1e-12)
+
+
+def test_min_cut_matches_recursive_dinic(rng):
     instances = [grid_graph(k, rng) for k in (3, 5, 8, 12) for _ in range(3)]
     for seed in range(30):
         instances.append(gen_graph(int(rng.integers(8, 60)), 1, int(rng.integers(1, 4)),
@@ -172,8 +186,35 @@ def test_min_cut_matches_recursive_dinic_bit_for_bit(rng):
                                    seed=7000 + seed))
     for g in instances:
         net = single_stage.build_flow_network(g, random_params(rng, g.n, 1))
-        cut = single_stage.min_cut(net)
-        assert (cut.flow_value, cut.cost, cut.cut_nodes) == oracle_recursive_dinic(net)
+        assert_same_cut(single_stage.min_cut(net), oracle_recursive_dinic(net))
+
+
+def test_min_cut_matches_iterative_dinic_on_grids_chains_and_random_graphs():
+    rng = np.random.default_rng(23)
+    instances = [grid_graph(k, rng, 10.0, 40.0, ends=100.0) for k in (10, 20, 30) for _ in range(3)]
+    for n in (1000, 5000):
+        instances.append(ifg.make_graph(n, [(i, i + 1) for i in range(1, n)], [[n]], [1],
+                                        traffic=rng.uniform(10.0, 40.0, n).tolist(),
+                                        rule_relevance={}, fractional_traffic=False))
+    for seed in range(20):
+        g = gen_graph(60, 1, 2, 3, 0.05, seed=seed)
+        instances.append(replace(g, traffic=tuple(rng.uniform(10.0, 40.0, g.n).tolist()),
+                                 fractional_traffic=False))
+    for g in instances:
+        net = single_stage.build_flow_network(g, game.default_params(g))
+        assert_same_cut(single_stage.min_cut(net), oracle_dinic(net))
+
+
+def test_min_cut_tie_takes_the_node_nearest_the_source():
+    # nodes 3 and 6 tie as the cheapest: both cuts are minimum, and the
+    # residual source side stops at the first, the minimal min cut
+    g = ifg.make_graph(8, [(i, i + 1) for i in range(1, 8)], [[8]], [1],
+                       traffic=[9.0, 7.0, 2.0, 5.0, 8.0, 2.0, 6.0, 9.0], rule_relevance={},
+                       fractional_traffic=False)
+    net = single_stage.build_flow_network(g, game.default_params(g))
+    cut = single_stage.min_cut(net)
+    assert cut.cut_nodes == (3,)
+    assert_same_cut(cut, oracle_dinic(net))
 
 
 @pytest.mark.parametrize("n", [1000, 5000])
