@@ -93,6 +93,25 @@ def random_dag_instance(rng, n_max=8, m_max=2, p_edge=0.4, n=None, m=None, n_ent
     return graph
 
 
+def grid_graph(k, rng, low=0.5, high=4.0, ends=None):
+    """k x k grid, entries on the left column, destinations on the right;
+    ``ends`` fixes the traffic of both columns."""
+    def nid(r, c):
+        return r * k + c + 1
+
+    edges = [(nid(r, c), nid(r + dr, c + dc))
+             for r in range(k) for c in range(k)
+             for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))
+             if 0 <= r + dr < k and 0 <= c + dc < k]
+    entries = [nid(r, 0) for r in range(k)]
+    dests = [nid(r, k - 1) for r in range(k)]
+    traffic = rng.uniform(low, high, k * k)
+    if ends is not None:
+        traffic[np.array(entries + dests) - 1] = ends
+    return ifg.make_graph(k * k, edges, [dests], entries, traffic=traffic.tolist(),
+                          rule_relevance={}, fractional_traffic=False)
+
+
 def random_cyclic_instance(rng, n_max=8, m=1, density=0.3):
     """Small cyclic instance via the library generator, randomized sizes."""
     from diftgame import generate

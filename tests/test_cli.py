@@ -11,7 +11,7 @@ import pytest
 from diftgame import cli, game, generate, ifg
 from diftgame.errors import GenerationFailed, ValidationError
 
-from conftest import staged_reachability_ok
+from conftest import grid_graph, staged_reachability_ok
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +517,16 @@ def interior_single_stage_graph():
     return dataclasses.replace(graph, traffic=tuple(traffic.tolist()), fractional_traffic=False)
 
 
+def grid30_single_stage_graph():
+    """A seeded 30x30 grid with U(10, 40) traffic inside and 100 on both end
+    columns; its matrix game is interior with 30 cut nodes."""
+    return grid_graph(30, np.random.default_rng(30), 10.0, 40.0, ends=100.0)
+
+
 # SHA-256 of what commit d14d4db printed and wrote, before the matrix game
-# priced cells through the per-cell price vector instead of a dense matrix
+# priced cells through the per-cell price vector instead of a dense matrix;
+# the adversary_mixture.json digests and the grid30 case are those of commit
+# f4d0853, whose representative paths ran two searches per cut node
 SINGLE_STAGE_PINS = {
     "one_stage_1000": {
         "stdout": "703f4f3bb9e1112200634218f4cdc7856ae653ef5c3b544b703dba3ff70523ad",
@@ -528,6 +536,15 @@ SINGLE_STAGE_PINS = {
         "stdout": "79b95eff49036dbcf93dbe3b86af82d1255e99a168fc3b601da47da6815f0b74",
         "stderr": "38fadfc35aa31e1e6be4e6a8c25f987b74390fecc89fa2a85dbd2b4ca0fb14db",
         "defender.json": "381a8eca25899ad1738a2f650a4cd7ecf2b88a116cd64177c7cd86ee1f39496b",
+        "adversary_mixture.json":
+            "18457bb719eb2624eb8310d8ac8b4949a5ead48940dbaadcb141f6b1e69b6983",
+    },
+    "grid30": {
+        "stdout": "49a59462ce394a6e7bc425298c9120bdcb2591da2f9757decfb41bdef9f43e09",
+        "stderr": "59778624edaf824ef3f2278e3214e394584789cf7d66651e3306e41b8adc2c2a",
+        "defender.json": "fde0612dd597cac14d73c00a9f292345ed1567e760bc12d8dd8728824c52cb6c",
+        "adversary_mixture.json":
+            "5b46fb9e7d5352fa5e3c60453e25b04e5d7ad087b22355f485083aa1c3c5f740",
     },
 }
 
@@ -537,18 +554,19 @@ def test_cli_solve_single_stdout_is_pinned(tmp_path, case):
     graph_file = tmp_path / "graph.json"
     if case == "interior":
         ifg.save(interior_single_stage_graph(), graph_file)
+    elif case == "grid30":
+        ifg.save(grid30_single_stage_graph(), graph_file)
     else:
         gen_args, _ = GENERATOR_PINS[case]
         assert run_cli(["gen-graph", *gen_args, "--out-dir", tmp_path]) == 0
     code, stdout, stderr = run_cli_captured(["solve-single", graph_file,
                                              "--out-dir", tmp_path / "single"])
     assert code == 0
-    assert stdout.splitlines()[0] == ("diagnostics: interior" if case == "interior"
-                                      else "diagnostics: boundary")
+    assert stdout.splitlines()[0] == ("diagnostics: boundary" if case == "one_stage_1000"
+                                      else "diagnostics: interior")
     digests = {"stdout": sha256_text(stdout), "stderr": sha256_text(stderr)}
-    if case == "interior":
-        digests["defender.json"] = hashlib.sha256(
-            (tmp_path / "single" / "defender.json").read_bytes()).hexdigest()
+    for name in sorted(set(SINGLE_STAGE_PINS[case]) - {"stdout", "stderr"}):
+        digests[name] = hashlib.sha256((tmp_path / "single" / name).read_bytes()).hexdigest()
     assert digests == SINGLE_STAGE_PINS[case]
 
 

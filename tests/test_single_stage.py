@@ -8,7 +8,8 @@ from diftgame import game, ifg, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
 from conftest import (
-    cell_price, oracle_dinic, oracle_recursive_dinic, oracle_separator_min_cost, random_params,
+    cell_price, grid_graph, oracle_dinic, oracle_recursive_dinic, oracle_separator_min_cost,
+    random_params,
 )
 from diftgame.generate import gen_graph
 
@@ -150,25 +151,6 @@ def test_min_cut_heterogeneous_traffic_against_oracle(rng):
         p = random_params(rng, 8, 1)
         cut = single_stage.min_cut(single_stage.build_flow_network(g, p))
         assert cut.cost == pytest.approx(oracle_separator_min_cost(g, p), abs=1e-9)
-
-
-def grid_graph(k, rng, low=0.5, high=4.0, ends=None):
-    """k x k grid, entries on the left column, destinations on the right;
-    ``ends`` fixes the traffic of both columns."""
-    def nid(r, c):
-        return r * k + c + 1
-
-    edges = [(nid(r, c), nid(r + dr, c + dc))
-             for r in range(k) for c in range(k)
-             for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))
-             if 0 <= r + dr < k and 0 <= c + dc < k]
-    entries = [nid(r, 0) for r in range(k)]
-    dests = [nid(r, k - 1) for r in range(k)]
-    traffic = rng.uniform(low, high, k * k)
-    if ends is not None:
-        traffic[np.array(entries + dests) - 1] = ends
-    return ifg.make_graph(k * k, edges, [dests], entries, traffic=traffic.tolist(),
-                          rule_relevance={}, fractional_traffic=False)
 
 
 def assert_same_cut(cut, oracle):
