@@ -49,6 +49,7 @@ from .ifg import (
     read_key,
     read_json,
     read_number,
+    strong_components,
     write_json,
 )
 
@@ -686,7 +687,9 @@ class AbsorbingChain:
     detection.  When no move out of it can be detected (1 - d rounds to 1 at
     every target), a walk that enters it stays forever and N diverges there.
     Such a class lies within one stage and detects nothing, so it adds
-    nothing to p_t or p_r and is left out of the solve.  Only these classes
+    nothing to p_t or p_r and is left out of the solve.  The closed classes
+    are found once, at build time, as the ``ifg.strong_components`` of the
+    support that no move leaves and no member leaks from.  Only these classes
     are checked per defender; every other state has a path to a drop or a
     completion.
     """
@@ -739,10 +742,19 @@ class AbsorbingChain:
         levels = np.arange(1, m + 1)
         crossed = (levels >= self._stage_index[:, None] + 1) & (levels < np.array(new_stage)[:, None])
         self._crossings = crossed.astype(float)
+        comp = strong_components(succ, range(k))
+        closed = [True] * (max(comp) + 1)
+        for v, c in enumerate(comp):
+            if leaks[v] or any(comp[w] != c for w in succ[v]):
+                closed[c] = False
+        classes: dict[int, list[int]] = {}
+        for v, c in enumerate(comp):
+            if closed[c]:
+                classes.setdefault(c, []).append(v)
         self._traps = [
             (np.array(members, dtype=np.intp),
              np.unique(self._target[np.isin(self._from, members)]))
-            for members in _closed_classes(succ, leaks)
+            for members in classes.values()
         ]
 
     def masses(self, detection: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -779,53 +791,6 @@ def _check_move(succ: dict[int, tuple[int, ...]], v: int, j: int, a: int) -> Non
     """Raise ValidationError unless the action ``a`` of state (v, j) is a drop or an edge."""
     if a != DROP and a not in succ.get(v, ()):
         raise ValidationError(f"state ({v}, {j}) moves to {a}, not a neighbor of {v}")
-
-
-def _closed_classes(succ: list[list[int]], leaks: list[bool]) -> list[list[int]]:
-    """Strongly connected classes that no move leaves and no member leaks from.
-
-    Tarjan's algorithm, iterative so that long chains of states do not reach
-    the interpreter recursion limit.
-    """
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    classes = []
-    for root in range(len(succ)):
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, pending = work[-1]
-            for w in pending:
-                if w not in order:
-                    order[w] = low[w] = len(order)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], order[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == order[v]:
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        on_stack.discard(members[-1])
-                    inside = set(members)
-                    if not any(leaks[u] for u in members) and all(
-                        w in inside for u in members for w in succ[u]
-                    ):
-                        classes.append(sorted(members))
-    return classes
 
 
 def evaluate_exact(

@@ -471,30 +471,23 @@ def export_dot(graph: InformationFlowGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ...]:
-    """For each node, the sorted entry nodes with a directed path to it.
+def strong_components(succ, roots) -> list[int]:
+    """Strongly connected components of the part of a digraph that ``roots`` reach.
 
-    An entry reaches itself.  This is the per-node security-rule set used by
-    the single-stage solution and by the synthetic graph generator.
-
-    One pass: Tarjan's algorithm condenses the part of the graph the entries
-    reach into strongly connected components, each holding one Python-int
-    bitmask of entries (bit i for the i-th entry).  Components close in
-    reverse topological order, so walking the closed nodes backwards reaches
-    every component after all of its predecessors, and each edge ORs its
-    tail's mask into its head's once.
+    ``succ[v]`` lists the successors of vertex v in 0..len(succ)-1.  Returns
+    ``comp`` with ``comp[v]`` the component number of v, or -1 where no root
+    reaches v.  Components are numbered in the order Tarjan's algorithm
+    closes them, which is reverse topological: every edge between two
+    components leads to a lower number.  Iterative, so long chains do not
+    reach the interpreter recursion limit.
     """
-    succ = graph.successors
-    entries = sorted(set(graph.vulnerable))
-    bit = {e: 1 << i for i, e in enumerate(entries)}
-    index = [0] * (graph.n + 1)  # visit order from 1; 0 is unvisited
-    low = [0] * (graph.n + 1)
-    comp = [-1] * (graph.n + 1)  # -1 while unvisited or on the Tarjan stack
-    masks: list[int] = []  # per component
-    closed: list[int] = []  # nodes in the order their components close
+    n = len(succ)
+    index = [0] * n  # visit order from 1; 0 is unvisited
+    low = [0] * n
+    comp = [-1] * n  # -1 while unvisited or on the Tarjan stack
     stack: list[int] = []
-    order = 0
-    for root in entries:
+    order = count = 0
+    for root in roots:
         if index[root]:
             continue
         order += 1
@@ -504,8 +497,6 @@ def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ..
         while work:
             u, it = work[-1]
             for w in it:
-                if w == SOURCE:
-                    continue
                 if not index[w]:
                     order += 1
                     index[w] = low[w] = order
@@ -519,25 +510,50 @@ def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ..
                 if work and low[u] < low[work[-1][0]]:
                     low[work[-1][0]] = low[u]
                 if low[u] == index[u]:
-                    mask = 0
                     while True:
                         w = stack.pop()
-                        comp[w] = len(masks)
-                        mask |= bit.get(w, 0)
-                        closed.append(w)
+                        comp[w] = count
                         if w == u:
                             break
-                    masks.append(mask)
-    for u in reversed(closed):
-        c = comp[u]
-        for w in succ[u]:
-            if w != SOURCE and comp[w] != c:
-                masks[comp[w]] |= masks[c]
+                    count += 1
+    return comp
+
+
+def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ...]:
+    """For each node, the sorted entry nodes with a directed path to it.
+
+    An entry reaches itself.  This is the per-node security-rule set used by
+    the single-stage solution and by the synthetic graph generator.
+
+    One pass: ``strong_components`` condenses the part of the graph the
+    entries reach, and each component holds one Python-int bitmask of entries
+    (bit i for the i-th entry).  Walking the components from the highest
+    number down visits them in topological order, so each component's mask
+    is complete before its edges OR it into their heads' masks.
+    """
+    entries = sorted(set(graph.vulnerable))
+    succ = [()] + [graph.successors[v] for v in range(1, graph.n + 1)]  # s0 leads nowhere
+    comp = strong_components(succ, entries)
+    count = max(comp) + 1
+    members: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(comp):
+        if c >= 0:
+            members[c].append(v)
+    masks = [0] * count
+    for i, e in enumerate(entries):
+        masks[comp[e]] |= 1 << i
+    for c in range(count - 1, -1, -1):
+        mask = masks[c]
+        for u in members[c]:
+            for w in succ[u]:
+                d = comp[w]
+                if d != c:
+                    masks[d] |= mask
     names: dict[int, tuple[int, ...]] = {0: ()}
     out = []
     for c in comp[1:]:
         mask = masks[c] if c >= 0 else 0
         if mask not in names:
-            names[mask] = tuple(e for e in entries if mask & bit[e])
+            names[mask] = tuple(e for i, e in enumerate(entries) if mask >> i & 1)
         out.append(names[mask])
     return tuple(out)

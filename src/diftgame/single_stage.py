@@ -317,50 +317,65 @@ def _names(columns) -> str:
     return ", ".join({0: "tag", 1: "trap"}.get(c, f"rule {c - 1}") for c in columns)
 
 
-def _bfs_path(graph: InformationFlowGraph, start: int, goals: set[int], blocked: set[int]):
-    """Shortest path start->any goal avoiding ``blocked``; smallest-node tie-break."""
-    if start in goals:
-        return (start,)
-    succ = graph.successors
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in succ.get(u, ()):
-            if w in blocked or w in parent:
-                continue
-            parent[w] = u
-            if w in goals:
-                path = [w]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return tuple(reversed(path))
-            queue.append(w)
-    return None
-
-
 def _representative_paths(graph, nodes) -> dict[int, tuple[int, ...]]:
-    """Per cut node, an attack path through it avoiding the other cut nodes.
+    """Per cut node, an attack path through it avoiding the other cut nodes:
+    the lexicographically smallest shortest path from s0 to the node, then
+    the lexicographically smallest shortest path on to a destination.
 
-    Minimality of the cut guarantees existence when split capacities are
-    positive.
+    Two whole-graph searches serve every cut node.  A BFS from s0 over
+    ascending successors reaches the cut nodes but never expands them, and
+    its tree gives each prefix.  A backward BFS from the destinations outside
+    the cut, skipping cut nodes, gives every other node's distance to a
+    destination; each suffix walks down those distances, taking the smallest
+    successor one step nearer.  Minimality of the cut guarantees existence
+    when split capacities are positive.
     """
+    succ = graph.successors
+    cut = set(nodes)
+    parent = [-1] * (graph.n + 1)  # BFS tree from s0; -1 is unreached
+    parent[SOURCE] = SOURCE
+    queue = [SOURCE]
+    for u in queue:
+        for w in succ[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                if w not in cut:
+                    queue.append(w)
+    pred: list[list[int]] = [[] for _ in range(graph.n + 1)]
+    for u, v in graph.edges:
+        pred[v].append(u)
+    dist = [-1] * (graph.n + 1)  # steps to a destination outside the cut; -1 is none
+    queue = [d for d in graph.stages[0] if d not in cut]
+    for d in queue:
+        dist[d] = 0
+    for w in queue:
+        for u in pred[w]:
+            if dist[u] < 0 and u not in cut:
+                dist[u] = dist[w] + 1
+                queue.append(u)
     dest = set(graph.stages[0])
     paths = {}
     for node in nodes:
-        others = set(nodes) - {node}
-        prefix = _bfs_path(graph, SOURCE, {node}, others)
-        if prefix is None:
+        if parent[node] < 0:
             raise ValidationError(
                 f"no source path to cut node {node} avoiding the other cut nodes; "
                 "is a split capacity zero?"
             )
-        suffix = _bfs_path(graph, node, dest, others)
-        if suffix is None:
-            raise ValidationError(
-                f"no destination path from cut node {node} avoiding the other cut nodes"
-            )
-        paths[node] = prefix + suffix[1:]
+        path = [node]
+        while path[-1] != SOURCE:
+            path.append(parent[path[-1]])
+        path.reverse()
+        if node not in dest:
+            steps = [dist[w] for w in succ[node] if dist[w] >= 0]
+            if not steps:
+                raise ValidationError(
+                    f"no destination path from cut node {node} avoiding the other cut nodes"
+                )
+            u = node
+            for d in range(min(steps), -1, -1):
+                u = next(w for w in succ[u] if dist[w] == d)
+                path.append(u)
+        paths[node] = tuple(path)
     return paths
 
 

@@ -10,8 +10,10 @@ and iterative max-flows) give the min cut that the Boykov-Kolmogorov one must
 reproduce.  The kernel oracles are the former per-node, per-term, per-state
 and per-element loops that the vectorized kernels must reproduce bit for
 bit; the edge-draw oracle is the generator's former scalar loop, the
-entry-reachability oracle is the former one search per entry, and the
-staged-reachability oracle searches (node, stage) states to check the
+entry-reachability oracle is the former one search per entry, the
+representative-paths oracle is the former two searches per cut node, the
+strong-components oracle groups vertices by brute-force mutual reachability,
+and the staged-reachability oracle searches (node, stage) states to check the
 generator's backbone guarantee.
 """
 
@@ -518,6 +520,70 @@ def oracle_entry_reachability(graph):
                     seen.add(w)
                     stack.append(w)
     return tuple(tuple(sorted(reached[i])) for i in range(1, graph.n + 1))
+
+
+def _oracle_bfs_path(graph, start, goals, blocked):
+    """Shortest path start->any goal avoiding ``blocked``; smallest-node tie-break."""
+    if start in goals:
+        return (start,)
+    succ = graph.successors
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in succ.get(u, ()):
+            if w in blocked or w in parent:
+                continue
+            parent[w] = u
+            if w in goals:
+                path = [w]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            queue.append(w)
+    return None
+
+
+def oracle_representative_paths(graph, nodes):
+    """The former representative paths: per cut node, one BFS from s0 to it
+    and one on to the destinations, both avoiding the other cut nodes."""
+    dest = set(graph.stages[0])
+    paths = {}
+    for node in nodes:
+        others = set(nodes) - {node}
+        prefix = _oracle_bfs_path(graph, SOURCE, {node}, others)
+        if prefix is None:
+            raise ValidationError(
+                f"no source path to cut node {node} avoiding the other cut nodes; "
+                "is a split capacity zero?"
+            )
+        suffix = _oracle_bfs_path(graph, node, dest, others)
+        if suffix is None:
+            raise ValidationError(
+                f"no destination path from cut node {node} avoiding the other cut nodes"
+            )
+        paths[node] = prefix + suffix[1:]
+    return paths
+
+
+def oracle_strong_components(succ, roots):
+    """Vertices grouped by mutual reachability, by brute force: one search
+    from every reached vertex.  Returns (reached, frozenset of each vertex's
+    class) with the class None where no root reaches the vertex."""
+    def reach(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    reached = set().union(*(reach(r) for r in roots)) if roots else set()
+    forward = {v: reach(v) for v in reached}
+    return [frozenset(w for w in forward[v] if v in forward[w]) if v in reached else None
+            for v in range(len(succ))]
 
 
 def staged_reachability_ok(graph):

@@ -8,7 +8,7 @@ import pytest
 from diftgame import game, generate, ifg
 from diftgame.errors import ParseError, ValidationError
 
-from conftest import oracle_entry_reachability, oracle_gen_edges
+from conftest import oracle_entry_reachability, oracle_gen_edges, oracle_strong_components
 
 
 def chain(n=3, stages=((3,),), vulnerable=(1,)):
@@ -335,6 +335,36 @@ def test_entry_reachability_matches_one_search_per_entry():
     graphs.append(ifg.make_graph(k * k, edges, [[k * k]], range(1, k * k, k)))
     for g in graphs:
         assert ifg.entry_reachability(g) == oracle_entry_reachability(g)
+
+
+def test_strong_components_match_mutual_reachability():
+    # random digraphs with self-loops, duplicate roots, no roots at all, and
+    # vertices no root reaches
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.3)
+        succ = [np.flatnonzero(row).tolist() for row in adj]
+        roots = rng.integers(0, n, int(rng.integers(0, 4))).tolist()
+        comp = ifg.strong_components(succ, roots)
+        classes = oracle_strong_components(succ, roots)
+        assert [c < 0 for c in comp] == [cls is None for cls in classes]
+        assert sorted(set(comp) - {-1}) == list(range(max(comp) + 1))
+        for v, cls in enumerate(classes):
+            if cls is not None:
+                assert {w for w in range(n) if comp[w] == comp[v]} == cls
+                # reverse topological numbering: every edge leads to an equal or lower number
+                assert all(comp[w] <= comp[v] for w in succ[v])
+
+
+def test_strong_components_on_a_long_chain_and_cycle():
+    # 5000 vertices in one path would pass the recursion limit of a recursive Tarjan
+    n = 5000
+    chain_succ = [[v + 1] for v in range(n - 1)] + [[]]
+    assert ifg.strong_components(chain_succ, [0]) == list(range(n - 1, -1, -1))
+    assert ifg.strong_components(chain_succ, [n - 2]) == [-1] * (n - 2) + [1, 0]
+    cycle_succ = chain_succ[:-1] + [[0]]
+    assert ifg.strong_components(cycle_succ, [n // 2]) == [0] * n
 
 
 def test_advance_cascades_through_overlapping_stages():

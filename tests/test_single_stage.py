@@ -8,8 +8,8 @@ from diftgame import game, ifg, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
 from conftest import (
-    cell_price, grid_graph, oracle_dinic, oracle_recursive_dinic, oracle_separator_min_cost,
-    random_params,
+    cell_price, grid_graph, oracle_dinic, oracle_recursive_dinic, oracle_representative_paths,
+    oracle_separator_min_cost, random_params,
 )
 from diftgame.generate import gen_graph
 
@@ -442,3 +442,68 @@ def test_representative_paths_cross_only_their_cut_node(rng):
             assert node in path
             assert not (set(eq.nodes) - {node}) & set(path)
             assert path[-1] in set(g.stages[0])
+
+
+def representative_paths_outcome(fn, graph, nodes):
+    """The paths ``fn`` returns for ``nodes``, or the message of its ValidationError."""
+    try:
+        return fn(graph, nodes)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_representative_paths_match_per_node_searches():
+    rng = np.random.default_rng(29)
+    instances = [grid_graph(k, rng, 10.0, 40.0, ends=100.0) for k in (10, 20, 30) for _ in range(3)]
+    for seed in range(20):
+        g = gen_graph(60, 1, 2, 3, 0.05, seed=seed)
+        instances.append(replace(g, traffic=tuple(rng.uniform(10.0, 40.0, g.n).tolist()),
+                                 fractional_traffic=False))
+    for n in (1000, 5000):
+        instances.append(ifg.make_graph(n, [(i, i + 1) for i in range(1, n)], [[n]], [1],
+                                        traffic=rng.uniform(10.0, 40.0, n).tolist(),
+                                        rule_relevance={}, fractional_traffic=False))
+    for g in instances:
+        nodes = single_stage.min_cut(single_stage.build_flow_network(g, game.default_params(g))).cut_nodes
+        assert nodes
+        assert single_stage._representative_paths(g, nodes) == oracle_representative_paths(g, nodes)
+
+
+def test_representative_paths_match_per_node_searches_on_tie_heavy_digraphs():
+    # equal traffic and many equal-length paths: every tie goes to the
+    # smallest node; random node sets in random order, most of them not
+    # minimal cuts, must raise the same error for the same node
+    rng = np.random.default_rng(37)
+    compared = 0
+    for _ in range(30):
+        n = int(rng.integers(8, 41))
+        adj = rng.random((n, n)) < 0.15
+        np.fill_diagonal(adj, False)
+        edges = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(adj))]
+        ids = rng.permutation(np.arange(1, n + 1)).tolist()
+        entries, dests = ids[:int(rng.integers(1, 4))], ids[-int(rng.integers(1, 4)):]
+        g = ifg.make_graph(n, edges, [dests], entries, traffic=[1.0] * n, rule_relevance={},
+                           fractional_traffic=False)
+        node_sets = [single_stage.min_cut(single_stage.build_flow_network(g, game.default_params(g))).cut_nodes]
+        for _ in range(5):
+            node_sets.append(tuple(rng.choice(np.arange(1, n + 1), int(rng.integers(1, 5)),
+                                              replace=False).tolist()))
+        for nodes in node_sets:
+            if nodes:
+                compared += 1
+                assert (representative_paths_outcome(single_stage._representative_paths, g, nodes)
+                        == representative_paths_outcome(oracle_representative_paths, g, nodes))
+    assert compared > 150
+
+
+def test_representative_paths_errors_name_the_first_failing_cut_node():
+    # 1 -> 2 -> 3 -> 4 with destination 4: {1, 2} separates, but is not a
+    # minimal cut; node 1 has no onward path, and node 2 no path from s0
+    g = ifg.make_graph(4, [(1, 2), (2, 3), (3, 4)], [[4]], [1])
+    for nodes, message in (
+        ((1, 2), "no destination path from cut node 1 avoiding the other cut nodes"),
+        ((2, 1), "no source path to cut node 2 avoiding the other cut nodes; "
+                 "is a split capacity zero?"),
+    ):
+        for fn in (single_stage._representative_paths, oracle_representative_paths):
+            assert representative_paths_outcome(fn, g, nodes) == message
