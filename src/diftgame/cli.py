@@ -111,6 +111,12 @@ def float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def seed_value(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return int(text)
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated destination counts (one value broadcasts)")
     p.add_argument("--entries", type=int, default=1)
     p.add_argument("--density", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--name", default="graph.json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering to this file")
     p.set_defaults(fn=_cmd_gen_graph)
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.set_defaults(fn=_cmd_solve_multi)
 
     p = sub.add_parser("best-response", help="one-sided best response to a strategy file")
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=1,
                    help="defender discretization levels per component")
     p.add_argument("--variant", choices=("randomized", "deterministic"), default="randomized")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.set_defaults(fn=_cmd_best_response)
 
     p = sub.add_parser("simulate", help="Monte Carlo utility estimate for a strategy pair")
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defender", required=True)
     p.add_argument("--adversary", required=True)
     p.add_argument("--n-trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("sweep-cost", help="defender utility vs. defense cost scale")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--sim-trials", type=int, default=20_000)
     p.set_defaults(fn=_cmd_sweep_cost)
 

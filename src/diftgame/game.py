@@ -86,6 +86,10 @@ class GameParams:
         object.__setattr__(self, "beta_a", tuple(float(b) for b in self.beta_a))
         object.__setattr__(self, "beta_d", tuple(float(b) for b in self.beta_d))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        for field in ("alpha_a", "beta_a", "alpha_d", "beta_d", "c1", "c2", "gamma"):
+            bad = [x for x in np.ravel(getattr(self, field)) if not math.isfinite(x)]
+            if bad:
+                raise ValidationError(f"{field} must be finite, got {bad[0]}")
         if not self.alpha_a < 0:
             raise ValidationError(f"alpha_a must be < 0, got {self.alpha_a}")
         if not self.alpha_d > 0:
@@ -137,8 +141,8 @@ class GameParams:
 
     def scaled(self, factor: float) -> "GameParams":
         """Scale the three defense cost components (tag, trap, rules) by ``factor``."""
-        if factor <= 0:
-            raise ValidationError(f"cost scale factor must be > 0, got {factor}")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValidationError(f"cost scale factor must be finite and > 0, got {factor}")
         return replace(
             self,
             c1=self.c1 * factor,
@@ -178,20 +182,22 @@ class DefenderStrategy:
     """Per-node probability tuple (tag, trap, rule 1..N); stage-independent.
 
     Stored as a (n+1) x (2+n) array; row 0 belongs to the pseudo-source and
-    is identically zero.
+    is identically zero.  The constructor keeps one clipped copy of the
+    caller's array and never modifies it; the other builders keep the one
+    matrix they build.
     """
 
     def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 2 or probs.shape[1] != probs.shape[0] + 1:
-            raise ValidationError(
-                f"defender strategy must have shape (n+1, 2+n), got {probs.shape}"
-            )
-        clipped = _clipped(probs, lambda i: divmod(i, probs.shape[1]))
-        if np.any(probs[0] != 0):
-            raise ValidationError("the pseudo-source row must be identically zero")
-        self.probs = clipped
+        self.probs = _clipped(np.array(probs, dtype=float))
         self.probs.setflags(write=False)
+
+    @classmethod
+    def _owning(cls, probs: np.ndarray) -> "DefenderStrategy":
+        """Wrap a valid matrix built by this class, without a copy."""
+        strategy = cls.__new__(cls)
+        strategy.probs = probs
+        probs.setflags(write=False)
+        return strategy
 
     @property
     def n(self) -> int:
@@ -199,19 +205,19 @@ class DefenderStrategy:
 
     @classmethod
     def zeros(cls, graph: InformationFlowGraph) -> "DefenderStrategy":
-        return cls(np.zeros((graph.n + 1, graph.n + 2)))
+        return cls._owning(np.zeros((graph.n + 1, graph.n + 2)))
 
     @classmethod
     def full(cls, graph: InformationFlowGraph, value: float) -> "DefenderStrategy":
         probs = np.full((graph.n + 1, graph.n + 2), float(value))
         probs[0] = 0.0
-        return cls(probs)
+        return cls._owning(_clipped(probs))
 
     @classmethod
     def random(cls, graph: InformationFlowGraph, rng: np.random.Generator) -> "DefenderStrategy":
         probs = rng.random((graph.n + 1, graph.n + 2))
         probs[0] = 0.0
-        return cls(probs)
+        return cls._owning(probs)
 
     @classmethod
     def from_cells(cls, graph: InformationFlowGraph, values) -> "DefenderStrategy":
@@ -224,20 +230,18 @@ class DefenderStrategy:
         second dense copy is made.
         """
         nodes, columns = graph.defender_cells
-        values = _clipped(np.asarray(values, dtype=float), lambda k: (nodes[k], columns[k]))
+        values = np.asarray(values, dtype=float)
+        _check_range(values, lambda k: (nodes[k], columns[k]))
         on = values != 0.0
         probs = np.zeros((graph.n + 1, graph.n + 2))
-        probs[nodes[on], columns[on]] = values[on]
-        probs.setflags(write=False)
-        strategy = cls.__new__(cls)
-        strategy.probs = probs
-        return strategy
+        probs[nodes[on], columns[on]] = np.clip(values[on], 0.0, 1.0)
+        return cls._owning(probs)
 
     def with_entry(self, node: int, component: int, value: float) -> "DefenderStrategy":
         """Copy with one entry replaced; ``component`` is 1=tag, 2=trap, 2+r=rule r."""
         probs = self.probs.copy()
         probs[node, component - 1] = value
-        return DefenderStrategy(probs)
+        return DefenderStrategy._owning(_clipped(probs))
 
     def cells(self, graph: InformationFlowGraph) -> np.ndarray:
         """The probability of each cell of ``graph.defender_cells``, in that order.
@@ -267,13 +271,19 @@ class DefenderStrategy:
         return isinstance(other, DefenderStrategy) and np.array_equal(self.probs, other.probs)
 
 
-def _clipped(probs: np.ndarray, locate) -> np.ndarray:
-    """``probs`` clipped to [0, 1], as a new array.
+def _clipped(probs: np.ndarray) -> np.ndarray:
+    """The defender matrix ``probs`` checked and clipped to [0, 1] in place."""
+    if probs.ndim != 2 or probs.shape[1] != probs.shape[0] + 1:
+        raise ValidationError(f"defender strategy must have shape (n+1, 2+n), got {probs.shape}")
+    _check_range(probs, lambda i: divmod(i, probs.shape[1]))
+    if np.any(probs[0] != 0):
+        raise ValidationError("the pseudo-source row must be identically zero")
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
-    Raises ValidationError for a value further outside [0, 1] than rounding
-    explains; a non-finite value is named by its (node, column), which
-    ``locate`` gives for its flat index.
-    """
+
+def _check_range(probs: np.ndarray, locate) -> None:
+    """Raise ValidationError unless ``probs`` lies in [0, 1] up to rounding; a
+    non-finite value is named by the (node, column) ``locate`` gives its flat index."""
     if not (np.all(probs >= -_PROB_TOL) and np.all(probs <= 1 + _PROB_TOL)):  # NaN fails
         bad = np.flatnonzero(~np.isfinite(probs))
         if bad.size:
@@ -282,7 +292,6 @@ def _clipped(probs: np.ndarray, locate) -> np.ndarray:
                 f"defender probability at node {node}, column {column} is not a finite number"
             )
         raise ValidationError("defender probabilities must lie in [0, 1]")
-    return np.clip(probs, 0.0, 1.0)
 
 
 class AdversaryStrategy:
@@ -743,13 +752,10 @@ class AbsorbingChain:
         crossed = (levels >= self._stage_index[:, None] + 1) & (levels < np.array(new_stage)[:, None])
         self._crossings = crossed.astype(float)
         comp = strong_components(succ, range(k))
-        closed = [True] * (max(comp) + 1)
-        for v, c in enumerate(comp):
-            if leaks[v] or any(comp[w] != c for w in succ[v]):
-                closed[c] = False
+        left = {c for v, c in enumerate(comp) if leaks[v] or any(comp[w] != c for w in succ[v])}
         classes: dict[int, list[int]] = {}
         for v, c in enumerate(comp):
-            if closed[c]:
+            if c not in left:
                 classes.setdefault(c, []).append(v)
         self._traps = [
             (np.array(members, dtype=np.intp),

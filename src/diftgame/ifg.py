@@ -527,28 +527,24 @@ def entry_reachability(graph: InformationFlowGraph) -> tuple[tuple[int, ...], ..
 
     One pass: ``strong_components`` condenses the part of the graph the
     entries reach, and each component holds one Python-int bitmask of entries
-    (bit i for the i-th entry).  Walking the components from the highest
-    number down visits them in topological order, so each component's mask
-    is complete before its edges OR it into their heads' masks.
+    (bit i for the i-th entry).  Walking the nodes from the highest component
+    number down visits the components in topological order, so each mask is
+    complete before the component's edges OR it into their heads' masks.
     """
     entries = sorted(set(graph.vulnerable))
     succ = [()] + [graph.successors[v] for v in range(1, graph.n + 1)]  # s0 leads nowhere
     comp = strong_components(succ, entries)
-    count = max(comp) + 1
-    members: list[list[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(comp):
-        if c >= 0:
-            members[c].append(v)
-    masks = [0] * count
+    masks = [0] * (max(comp) + 1)
     for i, e in enumerate(entries):
         masks[comp[e]] |= 1 << i
-    for c in range(count - 1, -1, -1):
-        mask = masks[c]
-        for u in members[c]:
-            for w in succ[u]:
-                d = comp[w]
-                if d != c:
-                    masks[d] |= mask
+    for u in sorted(range(len(comp)), key=comp.__getitem__, reverse=True):
+        c = comp[u]
+        if c < 0:  # the unreached nodes sort last
+            break
+        for w in succ[u]:
+            d = comp[w]
+            if d != c:
+                masks[d] |= masks[c]
     names: dict[int, tuple[int, ...]] = {0: ()}
     out = []
     for c in comp[1:]:

@@ -348,10 +348,10 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValidationError(f"eta must be > 0, got {self.eta}")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
+        for field in ("eta", "eps"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{field} must be finite and > 0, got {value}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
 

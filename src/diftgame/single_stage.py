@@ -317,43 +317,42 @@ def _names(columns) -> str:
     return ", ".join({0: "tag", 1: "trap"}.get(c, f"rule {c - 1}") for c in columns)
 
 
+def _bfs(adj, starts, cut) -> tuple[list[int], list[int]]:
+    """Levels and tree parents of a BFS over ``adj`` from ``starts`` that
+    takes each vertex's neighbors in order; vertices in ``cut`` are reached
+    but never expanded.  Both are -1 where no start reaches a vertex."""
+    level, parent = [-1] * len(adj), [-1] * len(adj)
+    for s in starts:
+        level[s], parent[s] = 0, s
+    queue = list(starts)
+    for u in queue:
+        if u not in cut:
+            for w in adj[u]:
+                if level[w] < 0:
+                    level[w], parent[w] = level[u] + 1, u
+                    queue.append(w)
+    return level, parent
+
+
 def _representative_paths(graph, nodes) -> dict[int, tuple[int, ...]]:
     """Per cut node, an attack path through it avoiding the other cut nodes:
     the lexicographically smallest shortest path from s0 to the node, then
     the lexicographically smallest shortest path on to a destination.
 
-    Two whole-graph searches serve every cut node.  A BFS from s0 over
-    ascending successors reaches the cut nodes but never expands them, and
-    its tree gives each prefix.  A backward BFS from the destinations outside
-    the cut, skipping cut nodes, gives every other node's distance to a
-    destination; each suffix walks down those distances, taking the smallest
-    successor one step nearer.  Minimality of the cut guarantees existence
-    when split capacities are positive.
+    Two whole-graph searches serve every cut node.  The BFS tree from s0 over
+    ascending successors gives each prefix.  A backward BFS from the
+    destinations gives each node's distance to one, and each suffix walks
+    down those distances, taking the smallest successor outside the cut one
+    step nearer.  Neither search expands a cut node.  Minimality of the cut
+    guarantees existence when split capacities are positive.
     """
-    succ = graph.successors
     cut = set(nodes)
-    parent = [-1] * (graph.n + 1)  # BFS tree from s0; -1 is unreached
-    parent[SOURCE] = SOURCE
-    queue = [SOURCE]
-    for u in queue:
-        for w in succ[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                if w not in cut:
-                    queue.append(w)
+    succ = graph.successors
     pred: list[list[int]] = [[] for _ in range(graph.n + 1)]
     for u, v in graph.edges:
         pred[v].append(u)
-    dist = [-1] * (graph.n + 1)  # steps to a destination outside the cut; -1 is none
-    queue = [d for d in graph.stages[0] if d not in cut]
-    for d in queue:
-        dist[d] = 0
-    for w in queue:
-        for u in pred[w]:
-            if dist[u] < 0 and u not in cut:
-                dist[u] = dist[w] + 1
-                queue.append(u)
-    dest = set(graph.stages[0])
+    _, parent = _bfs(succ, [SOURCE], cut)
+    dist, _ = _bfs(pred, graph.stages[0], cut)
     paths = {}
     for node in nodes:
         if parent[node] < 0:
@@ -361,20 +360,16 @@ def _representative_paths(graph, nodes) -> dict[int, tuple[int, ...]]:
                 f"no source path to cut node {node} avoiding the other cut nodes; "
                 "is a split capacity zero?"
             )
+        if dist[node] < 0:
+            raise ValidationError(
+                f"no destination path from cut node {node} avoiding the other cut nodes"
+            )
         path = [node]
         while path[-1] != SOURCE:
             path.append(parent[path[-1]])
         path.reverse()
-        if node not in dest:
-            steps = [dist[w] for w in succ[node] if dist[w] >= 0]
-            if not steps:
-                raise ValidationError(
-                    f"no destination path from cut node {node} avoiding the other cut nodes"
-                )
-            u = node
-            for d in range(min(steps), -1, -1):
-                u = next(w for w in succ[u] if dist[w] == d)
-                path.append(u)
+        for d in range(dist[node] - 1, -1, -1):
+            path.append(next(w for w in succ[path[-1]] if dist[w] == d and w not in cut))
         paths[node] = tuple(path)
     return paths
 

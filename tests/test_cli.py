@@ -189,6 +189,45 @@ def test_cli_malformed_number_list_is_usage_error(tmp_path, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-graph", "--nodes", 5, "--stages", 1],
+    ["solve-multi", "graph.json"],
+    ["best-response", "graph.json", "--side", "adversary", "--strategy", "d.json"],
+    ["simulate", "graph.json", "--defender", "d.json", "--adversary", "a.json",
+     "--n-trials", 10],
+    ["sweep-cost", "graph.json"],
+], ids=lambda argv: argv[0])
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--seed", -1, "--out-dir", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("solve-multi", ["--eta", "inf"], "eta must be finite and > 0, got inf"),
+    ("solve-multi", ["--eta", "nan"], "eta must be finite and > 0, got nan"),
+    ("solve-multi", ["--eps", "nan"], "eps must be finite and > 0, got nan"),
+    ("sweep-cost", ["--factors", "inf"], "cost scale factor must be finite and > 0, got inf"),
+    ("sweep-cost", ["--factors", "1e308"], "c1 must be finite, got -inf"),
+    ("load-params", None, "c2 must be finite, got -inf"),
+], ids=["eta-inf", "eta-nan", "eps-nan", "factor-inf", "factor-overflow", "params-file"])
+def test_cli_non_finite_parameters_fail_with_stage(tmp_path, graph_file, capsys, command,
+                                                   options, message):
+    subcommand = command
+    if options is None:
+        # Python's json module reads the non-standard token -Infinity
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(GOOD_PARAMS).replace('"c2": -1', '"c2": -Infinity'))
+        subcommand, options = "solve-multi", ["--params", params_path]
+    code = run_cli([subcommand, graph_file, *options, "--max-iters", 5,
+                    "--out-dir", tmp_path / "p"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error [{command}] {message}\n"
+
+
 def test_cli_missing_graph_file_fails_with_stage(tmp_path, capsys):
     code = run_cli(["solve-multi", tmp_path / "missing.json", "--out-dir", tmp_path / "x"])
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,27 @@ def test_params_sign_constraints_enforced():
     ]:
         with pytest.raises(ValidationError):
             game.GameParams(**{**good, key: bad})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_params_reject_non_finite_entries(bad):
+    good = dict(alpha_a=-1, beta_a=(1, 2), alpha_d=1, beta_d=(-1, -2), c1=-1, c2=-1,
+                gamma=(0, -1))
+    for key in good:
+        value = tuple(good[key][:-1]) + (bad,) if isinstance(good[key], tuple) else bad
+        with pytest.raises(ValidationError, match=rf"^{key} must be finite, got {bad}$"):
+            game.GameParams(**{**good, key: value})
+
+
+def test_params_scaled_rejects_non_finite_factors_and_costs():
+    p = game.GameParams(alpha_a=-1, beta_a=(1,), alpha_d=1, beta_d=(-1,), c1=-50, c2=-3,
+                        gamma=(-1, -4))
+    for factor in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValidationError, match=rf"^cost scale factor must be finite and > 0, got {factor}$"):
+            p.scaled(factor)
+    # a finite factor can still overflow a cost
+    with pytest.raises(ValidationError, match=r"^c1 must be finite, got -inf$"):
+        p.scaled(1e308)
 
 
 def test_params_derived_costs_nonpositive():
@@ -123,6 +145,39 @@ def test_defender_strategy_rejects_non_finite_entries(tmp_path):
                     '[[0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.5, NaN, 0.5, 0.5]]}')
     with pytest.raises(ValidationError, match="node 2, column 1"):
         game.load_strategy(path)
+
+
+def test_defender_builds_hold_one_matrix():
+    # each builder allocates its (n+1) x (n+2) matrix once and clips it in
+    # place; the constructor copies the caller's array once and leaves it as it was
+    n = 1000
+    g = ifg.make_graph(n, [(i, i + 1) for i in range(1, n)], [[n]], [1], rule_relevance={})
+    matrix_bytes = (n + 1) * (n + 2) * 8
+    base = game.DefenderStrategy.zeros(g)
+    builds = {
+        "zeros": lambda: game.DefenderStrategy.zeros(g),
+        "full": lambda: game.DefenderStrategy.full(g, 0.5),
+        "random": lambda: game.DefenderStrategy.random(g, np.random.default_rng(0)),
+        "with_entry": lambda: base.with_entry(1, 1, 0.5),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        strategy = build()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert strategy.probs.shape == (n + 1, n + 2)
+        assert matrix_bytes <= peak < 1.5 * matrix_bytes, name
+    probs = np.full((n + 1, n + 2), 1.0 + 1e-12)
+    probs[0] = 0.0
+    probs[1, 0] = -1e-12
+    tracemalloc.start()
+    strategy = game.DefenderStrategy(probs)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes
+    assert probs[1, 0] == -1e-12 and probs[1, 1] == 1.0 + 1e-12 and probs.flags.writeable
+    assert not np.shares_memory(strategy.probs, probs)
+    assert strategy.probs[1, 0] == 0.0 and strategy.probs[1, 1] == 1.0
 
 
 # ---------------------------------------------------------------------------

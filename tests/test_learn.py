@@ -206,10 +206,18 @@ def test_expected_swap_utility_matches_sampling_oracle(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_run_stops_after_one_iteration_with_infinite_eps():
+@pytest.mark.parametrize("field", ["eta", "eps"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+def test_learner_config_requires_finite_positive_rates(field, bad):
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite and > 0, got {bad}$"):
+        LearnerConfig(**{field: bad})
+
+
+def test_run_stops_after_one_iteration_when_eps_bounds_every_gap():
+    # a mixture moves at most 1 in sup norm, so eps = 1 stops the first check
     g = ifg.make_graph(2, [(1, 2)], [[2]], [1], rule_relevance=[(), ()])
     p = game.default_params(g)
-    res = learn.run(g, p, LearnerConfig(eps=math.inf, max_iters=100, seed=0))
+    res = learn.run(g, p, LearnerConfig(eps=1.0, max_iters=100, seed=0))
     assert res.iterations == 1
     assert res.converged
     assert res.trace.shape == (1, 4)
@@ -392,7 +400,7 @@ def test_swap_regret_positive_under_uniform_joint():
     g = ifg.make_graph(2, [(1, 2)], [[2]], [1], rule_relevance=[(), ()])
     p = game.GameParams(alpha_a=-5.0, beta_a=(5.0,), alpha_d=0.5, beta_d=(-0.5,),
                         c1=-1.0, c2=-40.0, gamma=(-1.0, -1.0))
-    res = learn.run(g, p, LearnerConfig(eps=math.inf, max_iters=10, seed=3))
+    res = learn.run(g, p, LearnerConfig(eps=1.0, max_iters=10, seed=3))
     rng = np.random.default_rng(0)
     roster = res.roster
     profiles = np.stack([
