@@ -34,7 +34,7 @@ class _StageError(Exception):
 def _run_stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (DiftGameError, OSError) as exc:
+    except (DiftGameError, OSError, MemoryError) as exc:
         raise _StageError(stage, exc) from exc
 
 

@@ -138,6 +138,16 @@ class GameParams:
             raise ValidationError(
                 f"params list {len(self.gamma)} rule costs but the graph has {graph.n} rules"
             )
+        # the largest total cost: a dense defender file may select every rule
+        # at every node; Python floats overflow to inf without a warning
+        c1, c2, traffic = float(self.c1), float(self.c2), [float(t) for t in graph.traffic]
+        rules = -sum(self.gamma)
+        if not math.isfinite(sum(abs(c1 * t) + abs(c2 * t) for t in traffic) + graph.n * rules):
+            raise ValidationError(
+                f"the largest total defense cost is not a finite number: c1={c1!r} and "
+                f"c2={c2!r} over traffic summing to {sum(traffic)!r}, plus {graph.n} rule "
+                f"costs gamma (down to {min(self.gamma)!r}) at each of {graph.n} nodes"
+            )
 
     def scaled(self, factor: float) -> "GameParams":
         """Scale the three defense cost components (tag, trap, rules) by ``factor``."""
@@ -317,17 +327,19 @@ class AdversaryStrategy:
             ) from None
 
     def validate(self, graph: InformationFlowGraph) -> None:
+        """Raise ValidationError unless every stored state lies in the graph
+        and moves along its edges or drops, with a probability distribution."""
         succ = graph.successors
         for (v, j), dist in self.moves.items():
+            if not 0 <= v <= graph.n:
+                raise ValidationError(f"state ({v}, {j}) has an out-of-range node")
             if not 1 <= j <= graph.n_stages:
                 raise ValidationError(f"state ({v}, {j}) has an out-of-range stage")
             allowed = set(succ.get(v, ())) | {DROP}
             total = 0.0
             for a, p in dist.items():
                 if a not in allowed:
-                    raise ValidationError(
-                        f"state ({v}, {j}) assigns probability to {a}, not a neighbor of {v}"
-                    )
+                    raise ValidationError(f"state ({v}, {j}) moves to {a}, not a neighbor of {v}")
                 if not math.isfinite(p):
                     raise ValidationError(
                         f"state ({v}, {j}) assigns a non-finite probability to {a}"
@@ -704,9 +716,9 @@ class AbsorbingChain:
     """
 
     def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
+        adversary.validate(graph)
         self.graph = graph
         m = graph.n_stages
-        neighbors = graph.successors
         self.states = [(SOURCE, 1)]
         index = {self.states[0]: 0}
         frm, target, stage, new_stage, to, prob = [], [], [], [], [], []
@@ -718,7 +730,6 @@ class AbsorbingChain:
             succ.append([])
             leaks.append(False)
             for a, p in sorted(adversary.distribution(v, j).items()):
-                _check_move(neighbors, v, j, a)
                 if p <= 0.0:
                     continue
                 if a == DROP:
@@ -793,12 +804,6 @@ class AbsorbingChain:
         return assemble_utilities(params, p_t, p_r, tag + trap + rule)
 
 
-def _check_move(succ: dict[int, tuple[int, ...]], v: int, j: int, a: int) -> None:
-    """Raise ValidationError unless the action ``a`` of state (v, j) is a drop or an edge."""
-    if a != DROP and a not in succ.get(v, ()):
-        raise ValidationError(f"state ({v}, {j}) moves to {a}, not a neighbor of {v}")
-
-
 def evaluate_exact(
     graph: InformationFlowGraph,
     params: GameParams,
@@ -845,19 +850,18 @@ def _move_tables(graph: InformationFlowGraph, adversary: AdversaryStrategy):
     first move whose bound lies above b/B; from there, the draw settles by
     comparison.  Returns ``(known, width, target, cum, guide)``, where
     ``known`` flags the codes that have a distribution and ``target`` is the
-    action of each move; the arrays are flat.  Raises ValidationError for
-    an action that is neither a drop nor an edge.
+    action of each move; the arrays are flat.  Raises ValidationError
+    unless ``adversary.validate`` passes.
     """
-    n, m, succ = graph.n, graph.n_stages, graph.successors
+    adversary.validate(graph)
+    n, m = graph.n, graph.n_stages
     rows, cols, acts, probs = [], [], [], []
     for (v, j), dist in adversary.moves.items():
-        if 0 <= v <= n and 1 <= j <= m:
-            for col, (a, p) in enumerate(sorted(dist.items())):
-                _check_move(succ, v, j, a)
-                rows.append(v * m + j - 1)
-                cols.append(col)
-                acts.append(a)
-                probs.append(p)
+        for col, (a, p) in enumerate(sorted(dist.items())):
+            rows.append(v * m + j - 1)
+            cols.append(col)
+            acts.append(a)
+            probs.append(p)
     n_codes = (n + 1) * m
     width = max(cols, default=0) + 1
     counts = np.bincount(rows, minlength=n_codes)

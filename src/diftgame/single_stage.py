@@ -82,7 +82,6 @@ def build_flow_network(graph: InformationFlowGraph, params: GameParams) -> FlowN
 
 @dataclass(frozen=True)
 class MinCutResult:
-    cut_arcs: tuple[tuple[int, int], ...]
     cut_nodes: tuple[int, ...]
     cost: float
     flow_value: float
@@ -212,12 +211,10 @@ def min_cut(network: FlowNetwork) -> MinCutResult:
     finite = [c for c in network.capacities if math.isfinite(c)]
     tol = _CAP_TOL * max(1.0, max(finite, default=1.0))
     flow, side = _max_flow(network, tol)
-    cut_arcs = []
     cut_nodes = []
     cut_caps = []
     for (u, v), c in zip(network.arcs, network.capacities):
         if u in side and v not in side:
-            cut_arcs.append((u, v))
             if not (1 <= u <= network.n and v == u + network.n):
                 raise ValidationError(f"min cut crossed a non-split arc ({u}, {v})")
             cut_nodes.append(u)
@@ -225,7 +222,7 @@ def min_cut(network: FlowNetwork) -> MinCutResult:
     cost = math.fsum(cut_caps)
     if not math.isclose(cost, flow, rel_tol=1e-9, abs_tol=1e-9):
         raise ValidationError(f"max-flow/min-cut duality violated: flow={flow}, cut={cost}")
-    return MinCutResult(tuple(cut_arcs), tuple(sorted(cut_nodes)), cost, flow)
+    return MinCutResult(tuple(sorted(cut_nodes)), cost, flow)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +235,9 @@ class SingleStageEquilibrium:
     """Equilibrium of the cut-node matrix game.
 
     ``pi`` is the adversary's mixture over the per-cut-node attack paths;
-    ``defender`` arms exactly the cut nodes with the log-linear closed-form
-    probabilities.  ``diagnostics`` is "interior" when a nonnegative mixture
-    satisfying the indifference condition exists, else "boundary" (the
+    ``defender`` arms exactly the cut nodes.  ``diagnostics`` is "interior"
+    when a nonnegative mixture satisfying the indifference condition exists
+    and the defender's log-linear closed form solves, else "boundary" (the
     dominant pure row plus the adversary's best response to it).
     """
 
@@ -272,15 +269,13 @@ class SingleStageEquilibrium:
         """
         defender = self.defender if defender is None else defender
         pi = self.pi if pi is None else pi
-        beta, alpha = params.beta_d[0], params.alpha_d
         detection = defender.detection_vector(graph)
         terms = defender.cells(graph) * params.cell_costs(graph)
         cells = _cell_slices(graph, list(pi))
         total = 0.0
         for node, weight in pi.items():
-            prod = detection[node]
             spent = _spending(terms[cells[node]])
-            total += weight * (prod * alpha + (1.0 - prod) * beta + spent)
+            total += weight * _path_payoffs(params, detection[node], spent)[0]
         return total
 
     def matrix_adversary_value(
@@ -292,8 +287,7 @@ class SingleStageEquilibrium:
     ) -> float:
         """Adversary payoff of the attack path through ``node``."""
         defender = self.defender if defender is None else defender
-        prod = defender.detection_vector(graph)[node]
-        return (1.0 - prod) * params.beta_a[0] + prod * params.alpha_a
+        return _path_payoffs(params, defender.detection_vector(graph)[node], 0.0)[1]
 
 
 def _cell_slices(graph: InformationFlowGraph, nodes) -> dict[int, slice]:
@@ -310,6 +304,13 @@ def _spending(terms) -> float:
     its cells, tag and trap first."""
     tag, trap, *rules = terms.tolist()
     return tag + trap + math.fsum(rules)
+
+
+def _path_payoffs(params: GameParams, prod: float, spent: float) -> tuple[float, float]:
+    """Defender and adversary payoffs of the attack path through a cut node
+    that detects with probability ``prod`` and spends ``spent`` (signed)."""
+    return (prod * params.alpha_d + (1.0 - prod) * params.beta_d[0] + spent,
+            (1.0 - prod) * params.beta_a[0] + prod * params.alpha_a)
 
 
 def _names(columns) -> str:
@@ -381,9 +382,11 @@ def solve_matrix_game(
 
     (a) cost per cut node: tag + trap + relevant-rule costs (signed).
     (b) adversary mixture: nonnegative, normalized, making the defender
-        indifferent between its two rows; when every indifference coefficient
-        has the same strict sign no such mixture exists and the boundary
-        outcome is returned instead.
+        indifferent between its two rows.  A node whose indifference
+        coefficient t_k is positive weighs minus the sum of the negative
+        coefficients, a negative one the sum of the positive ones, a zero
+        one their mean (1 when either sum is empty); a zero total weight
+        means no such mixture exists.
     (c) defender probabilities per cut node from the log-linear system
         log p_k = S - log(ratio_k) with S = sum(log ratio_k) / (K - 1),
         where ratio_k is the component's cost over the detection margin
@@ -392,9 +395,14 @@ def solve_matrix_game(
         components, S = sum_free(log ratio_k) / (K' - 1), until no free p_k
         exceeds 1; a note names the clamped components.  When fewer than two
         components stay free, or a clamped component's first-order condition
-        S >= log ratio_k fails, the boundary outcome is returned instead.
+        S >= log ratio_k fails, there is no interior solution.
     (d) detection products are compared across cut nodes (their spread is
         reported; at an exact equilibrium it is zero).
+    (e) otherwise the boundary: a dominant pure defender row.  With every
+        coefficient negative it is the Detected row (every cut cell on):
+        each attack path crosses the cut, so the adversary drops.  Else it
+        is the Not-detected row (no cell on): the adversary never drops and
+        takes its best-response path, named by the smallest cut node on it.
     """
     if graph.n_stages != 1:
         raise NotSingleStage(f"matrix game needs a single-stage graph, got M={graph.n_stages}")
@@ -416,53 +424,88 @@ def solve_matrix_game(
                 f"entry reachability {via_dfs}; using the declared set"
             )
 
-    beta, alpha = params.beta_d[0], params.alpha_d
-    denom = beta - alpha  # < 0
+    beta = params.beta_d[0]
+    denom = beta - params.alpha_d  # < 0
     price = params.cell_costs(graph)
-    _, columns = graph.defender_cells
+    cell_nodes, columns = graph.defender_cells
     cells = _cell_slices(graph, nodes)
     costs = {node: _spending(price[cells[node]]) for node in nodes}  # every cell on
 
     # (b) indifference mixture
-    t = {node: beta - alpha - costs[node] for node in nodes}
-    scale = max(1.0, abs(denom))
-    tol = 1e-9 * scale
-    pos = [i for i in nodes if t[i] > tol]
-    neg = [i for i in nodes if t[i] < -tol]
-    zero = [i for i in nodes if abs(t[i]) <= tol]
+    t = {node: denom - costs[node] for node in nodes}
+    tol = 1e-9 * max(1.0, abs(denom))
+    pos_sum = math.fsum(t[i] for i in nodes if t[i] > tol)
+    neg_sum = math.fsum(-t[i] for i in nodes if t[i] < -tol)  # +0.0, never -0.0, when empty
+    mid = (pos_sum + neg_sum) / 2.0 if pos_sum and neg_sum else 1.0
+    weights = {i: neg_sum if t[i] > tol else pos_sum if t[i] < -tol else mid for i in nodes}
+    total = math.fsum(weights.values())
 
-    if pos and neg:
-        a = math.fsum(t[i] for i in pos)
-        b = -math.fsum(t[i] for i in neg)
-        weights = {}
-        for i in pos:
-            weights[i] = b
-        for i in neg:
-            weights[i] = a
-        for i in zero:
-            weights[i] = (a + b) / 2.0
-        total = math.fsum(weights.values())
+    solved = _interior_cells(price, cells, columns, denom, notes) if total else None
+    if solved:
+        values, products = solved
         pi = {i: w / total for i, w in weights.items()}
-        interior = True
-    elif zero:
-        pi = {i: (1.0 / len(zero) if i in zero else 0.0) for i in nodes}
-        interior = True
-    else:
-        pi = {}
-        interior = False
+        paths = _representative_paths(graph, nodes)
+        payoffs = [
+            _path_payoffs(params, products[i], _spending(values[cells[i]] * price[cells[i]]))
+            for i in nodes
+        ]
+        u_d = math.fsum(pi[i] * u for i, (u, _) in zip(nodes, payoffs))
+        u_a = math.fsum(pi[i] * u for i, (_, u) in zip(nodes, payoffs))
+    else:  # (e)
+        row = float(all(t[i] < 0 for i in nodes))
+        values = np.isin(cell_nodes, nodes) * row
+        products = dict.fromkeys(nodes, row)
+        if row:
+            notes += ["all indifference coefficients negative: defender plays the Detected row",
+                      "adversary best response is to drop immediately"]
+            pi, paths, u_d, u_a = {}, {}, math.fsum(costs.values()), 0.0
+        else:
+            positive = all(t[i] > 0 for i in nodes)
+            notes.append(("all indifference coefficients positive: " if positive else "")
+                         + "defender plays the Not-detected row")
+            br = respond.adversary_best_response(graph, params, DefenderStrategy.zeros(graph))
+            anchor = next(i for i in nodes if i in br.path)
+            # undetected for certain and spending nothing, the defender pays beta
+            pi, paths, u_d, u_a = {anchor: 1.0}, {anchor: br.path}, beta, br.value
 
-    if not interior:
-        return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
+    spread = max(products.values()) - min(products.values())
+    if spread > 1e-9:
+        notes.append(
+            f"detection products differ across cut nodes by {spread:.3e}; "
+            "the adversary side of the equilibrium is only approximate"
+        )
+    return SingleStageEquilibrium(
+        cut=cut,
+        nodes=nodes,
+        relevance=relevance,
+        costs=costs,
+        defender=DefenderStrategy.from_cells(graph, values),
+        pi=pi,
+        paths=paths,
+        products=products,
+        u_d=u_d,
+        u_a=u_a,
+        diagnostics="interior" if solved else "boundary",
+        product_spread=spread,
+        notes=tuple(notes),
+    )
 
-    # (c) defender probabilities per cut node: each free component's
-    # cost-to-margin ratio pins the product of the other components; k runs
-    # over cell indices, which within a node follow the column order
+
+def _interior_cells(price, cells, columns, denom, notes):
+    """Step (c) of ``solve_matrix_game``: the defender's value for every cell
+    and the detection product of every cut node, or None, after noting the
+    clamp, when a node has no interior solution.
+
+    Each free component's cost-to-margin ratio pins the product of the
+    other components; k runs over cell indices, which within a node follow
+    the column order.
+    """
     values = np.zeros(price.size)
     products = {}
     clamp_notes = []
-    for node in nodes:
+    for node, span in cells.items():
         log_ratios = {}
-        for k in range(cells[node].start, cells[node].stop):
+        for k in range(span.start, span.stop):
             ratio = float(price[k]) / denom
             if ratio <= 0.0:
                 raise DegenerateEquilibrium(
@@ -485,7 +528,7 @@ def solve_matrix_game(
                 f"node {node}: clamping {_names(columns[clamped])} to probability 1 leaves no "
                 f"interior solution for {_names(columns[free]) or 'no other component'}"
             )
-            return _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes)
+            return None
         if clamped:
             clamp_notes.append(f"node {node}: {_names(columns[clamped])} clamped to probability 1")
         for k in free:
@@ -493,90 +536,7 @@ def solve_matrix_game(
         values[clamped] = 1.0
         products[node] = math.exp(s)
     notes += clamp_notes
-
-    defender = DefenderStrategy.from_cells(graph, values)
-    spread = max(products.values()) - min(products.values())
-    if spread > 1e-9:
-        notes.append(
-            f"detection products differ across cut nodes by {spread:.3e}; "
-            "the adversary side of the equilibrium is only approximate"
-        )
-
-    paths = _representative_paths(graph, nodes)
-    u_a = math.fsum(
-        pi[i] * ((1.0 - products[i]) * params.beta_a[0] + products[i] * params.alpha_a)
-        for i in nodes
-    )
-    spent = {node: _spending(values[cells[node]] * price[cells[node]]) for node in nodes}
-    u_d = math.fsum(
-        pi[i] * (products[i] * params.alpha_d + (1.0 - products[i]) * beta + spent[i])
-        for i in nodes
-    )
-    return SingleStageEquilibrium(
-        cut=cut,
-        nodes=nodes,
-        relevance=relevance,
-        costs=costs,
-        defender=defender,
-        pi=pi,
-        paths=paths,
-        products=products,
-        u_d=u_d,
-        u_a=u_a,
-        diagnostics="interior",
-        product_spread=spread,
-        notes=tuple(notes),
-    )
-
-
-def _boundary_outcome(graph, params, cut, nodes, relevance, costs, t, notes):
-    """Dominant pure defender row plus the adversary's best response to it."""
-    all_detect = all(t[i] < 0 for i in nodes)
-    cell_nodes, _ = graph.defender_cells
-    if all_detect:
-        on = np.isin(cell_nodes, nodes)
-        notes.append("all indifference coefficients negative: defender plays the Detected row")
-    else:
-        on = np.zeros(cell_nodes.size, dtype=bool)
-        reason = "all indifference coefficients positive: " if all(t[i] > 0 for i in nodes) else ""
-        notes.append(reason + "defender plays the Not-detected row")
-    defender = DefenderStrategy.from_cells(graph, on)
-    br = respond.adversary_best_response(graph, params, defender)
-    detection = defender.detection_vector(graph)
-    products = {node: float(detection[node]) for node in nodes}
-    if br.dropped:
-        pi: dict[int, float] = {}
-        paths: dict[int, tuple[int, ...]] = {}
-        u_a = 0.0
-        u_d = math.fsum(costs[i] for i in nodes) if all_detect else 0.0
-        notes.append("adversary best response is to drop immediately")
-    else:
-        cut_hits = [i for i in nodes if i in br.path]
-        anchor = cut_hits[0] if cut_hits else None
-        pi = {anchor: 1.0} if anchor is not None else {}
-        paths = {anchor: br.path} if anchor is not None else {}
-        u_a = br.value
-        detected = 1.0 - br.survival
-        spent = 0.0
-        if all_detect:
-            spent = math.fsum(costs[i] for i in nodes if i in br.path)
-        u_d = detected * params.alpha_d + br.survival * params.beta_d[0] + spent
-    spread = (max(products.values()) - min(products.values())) if products else 0.0
-    return SingleStageEquilibrium(
-        cut=cut,
-        nodes=nodes,
-        relevance=relevance,
-        costs=costs,
-        defender=defender,
-        pi=pi,
-        paths=paths,
-        products=products,
-        u_d=u_d,
-        u_a=u_a,
-        diagnostics="boundary",
-        product_spread=spread,
-        notes=tuple(notes),
-    )
+    return values, products
 
 
 def solve_single_stage(graph: InformationFlowGraph, params: GameParams) -> SingleStageEquilibrium:

@@ -205,14 +205,24 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+# the graph_file graph has 8 nodes and traffic 1/8 at each
+OVERFLOW_MESSAGE = (
+    "the largest total defense cost is not a finite number: c1={cost} and c2={cost} over "
+    "traffic summing to 1.0, plus 8 rule costs gamma (down to {cost}) at each of 8 nodes"
+)
+
+
 @pytest.mark.parametrize("command, options, message", [
     ("solve-multi", ["--eta", "inf"], "eta must be finite and > 0, got inf"),
     ("solve-multi", ["--eta", "nan"], "eta must be finite and > 0, got nan"),
     ("solve-multi", ["--eps", "nan"], "eps must be finite and > 0, got nan"),
     ("sweep-cost", ["--factors", "inf"], "cost scale factor must be finite and > 0, got inf"),
     ("sweep-cost", ["--factors", "1e308"], "c1 must be finite, got -inf"),
+    # finite scaled costs whose total over every cell is not
+    ("sweep-cost", ["--factors", "1e306"], OVERFLOW_MESSAGE.format(cost="-5e+307")),
     ("load-params", None, "c2 must be finite, got -inf"),
-], ids=["eta-inf", "eta-nan", "eps-nan", "factor-inf", "factor-overflow", "params-file"])
+], ids=["eta-inf", "eta-nan", "eps-nan", "factor-inf", "factor-overflow", "total-cost-overflow",
+        "params-file"])
 def test_cli_non_finite_parameters_fail_with_stage(tmp_path, graph_file, capsys, command,
                                                    options, message):
     subcommand = command
@@ -226,6 +236,38 @@ def test_cli_non_finite_parameters_fail_with_stage(tmp_path, graph_file, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error [{command}] {message}\n"
+
+
+def strategy_files(tmp_path, graph_file):
+    """A defender file that arms every cell and a uniform adversary file."""
+    graph = ifg.load(graph_file)
+    game.save_defender(game.DefenderStrategy.full(graph, 1.0), tmp_path / "defender.json")
+    game.save_adversary(game.AdversaryStrategy.uniform(graph), tmp_path / "adversary.json")
+    return ["--defender", tmp_path / "defender.json", "--adversary", tmp_path / "adversary.json"]
+
+
+def test_cli_simulate_rejects_a_total_defense_cost_beyond_floats(tmp_path, graph_file, capsys):
+    # each cost is finite, but the dense defender file prices all 8 x 10 cells
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**GOOD_PARAMS, "c1": -1e307, "c2": -1e307, "gamma": -1e307}))
+    code = run_cli(["simulate", graph_file, "--params", params,
+                    *strategy_files(tmp_path, graph_file), "--n-trials", 100,
+                    "--out-dir", tmp_path / "sim"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error [simulate] {OVERFLOW_MESSAGE.format(cost='-1e+307')}\n"
+
+
+def test_cli_simulate_out_of_memory_fails_with_stage(tmp_path, graph_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(game, "evaluate_monte_carlo", exhausted)
+    code = run_cli(["simulate", graph_file, *strategy_files(tmp_path, graph_file),
+                    "--n-trials", 100_000_000_000, "--out-dir", tmp_path / "sim"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error [simulate] Unable to allocate 745. GiB for an array\n")
 
 
 def test_cli_missing_graph_file_fails_with_stage(tmp_path, capsys):
@@ -562,10 +604,20 @@ def grid30_single_stage_graph():
     return grid_graph(30, np.random.default_rng(30), 10.0, 40.0, ends=100.0)
 
 
+def not_detected_single_stage_graph():
+    """A one-stage generated graph with U(10, 40) traffic whose cut [9, 43]
+    is too costly to arm: the defender plays the Not-detected row."""
+    graph = generate.gen_graph(60, 1, 2, 3, 0.05, seed=0)
+    traffic = np.random.default_rng(0).uniform(10.0, 40.0, graph.n)
+    return dataclasses.replace(graph, traffic=tuple(traffic.tolist()), fractional_traffic=False)
+
+
 # SHA-256 of what commit d14d4db printed and wrote, before the matrix game
 # priced cells through the per-cell price vector instead of a dense matrix;
 # the adversary_mixture.json digests and the grid30 case are those of commit
-# f4d0853, whose representative paths ran two searches per cut node
+# f4d0853, whose representative paths ran two searches per cut node; the
+# not_detected and clamp_fallback cases are those of commit 0d399b5, whose
+# boundary rows were built apart from the interior outcome
 SINGLE_STAGE_PINS = {
     "one_stage_1000": {
         "stdout": "703f4f3bb9e1112200634218f4cdc7856ae653ef5c3b544b703dba3ff70523ad",
@@ -585,24 +637,53 @@ SINGLE_STAGE_PINS = {
         "adversary_mixture.json":
             "5b46fb9e7d5352fa5e3c60453e25b04e5d7ad087b22355f485083aa1c3c5f740",
     },
+    "not_detected": {
+        "stdout": "f85a9ecb5c97eb1ebe539a6e50d13f20d6f8caa43186fae21840f84219be9b97",
+        "stderr": "4143385b96a783edb1f2b01e9b60c72d78a6714333de9962a388d0f3d9bfb2d2",
+        "defender.json": "bf52b9d03e8acd99cd6a61aaeb401cd9f7b53e660bb7fbed80f61893988b9b01",
+        "adversary_mixture.json":
+            "3c7156d4029d0d5b1b2c7e0dcc68d019a86305f52b28fba7b8843b8e5fcfec1a",
+    },
+    "clamp_fallback": {
+        "stdout": "efdb4e06b04c72a1f0c45f26678f65a340cf8e6c60626dcf6bfbf86dc370a69f",
+        "stderr": "ec493ea0ff0a5ab42db2274637e05ae5d3a14c8674ff1101a4fec6106b3b5bb0",
+        "defender.json": "2c118fa419a137850cc2b96e5c11997314a443f9cc66db6463988e425737e951",
+        "adversary_mixture.json":
+            "8450453a57b69052c8bb3d694267ab15b30a0d39917d225f7992d9a348af63e0",
+    },
 }
+
+
+# the two-node instance of test_single_stage.py's
+# test_clamp_that_leaves_one_free_component_falls_back_to_the_boundary
+CLAMP_FALLBACK_GRAPH = {"n": 2, "edges": [], "stages": [[1, 2]], "vulnerable": [1, 2],
+                        "traffic": [1.0, 2.0], "rule_relevance": [(1,), (2,)]}
+CLAMP_FALLBACK_PARAMS = {"alpha_a": -10.0, "beta_a": [5.0], "alpha_d": 1.0, "beta_d": [-7.0],
+                         "c1": -2.0, "c2": -2.0, "gamma": [-0.01, -12.0]}
 
 
 @pytest.mark.parametrize("case", sorted(SINGLE_STAGE_PINS))
 def test_cli_solve_single_stdout_is_pinned(tmp_path, case):
     graph_file = tmp_path / "graph.json"
+    extra = []
     if case == "interior":
         ifg.save(interior_single_stage_graph(), graph_file)
     elif case == "grid30":
         ifg.save(grid30_single_stage_graph(), graph_file)
+    elif case == "not_detected":
+        ifg.save(not_detected_single_stage_graph(), graph_file)
+    elif case == "clamp_fallback":
+        ifg.save(ifg.make_graph(**CLAMP_FALLBACK_GRAPH), graph_file)
+        (tmp_path / "params.json").write_text(json.dumps(CLAMP_FALLBACK_PARAMS))
+        extra = ["--params", tmp_path / "params.json"]
     else:
         gen_args, _ = GENERATOR_PINS[case]
         assert run_cli(["gen-graph", *gen_args, "--out-dir", tmp_path]) == 0
-    code, stdout, stderr = run_cli_captured(["solve-single", graph_file,
+    code, stdout, stderr = run_cli_captured(["solve-single", graph_file, *extra,
                                              "--out-dir", tmp_path / "single"])
     assert code == 0
-    assert stdout.splitlines()[0] == ("diagnostics: boundary" if case == "one_stage_1000"
-                                      else "diagnostics: interior")
+    assert stdout.splitlines()[0] == ("diagnostics: interior" if case in ("interior", "grid30")
+                                      else "diagnostics: boundary")
     digests = {"stdout": sha256_text(stdout), "stderr": sha256_text(stderr)}
     for name in sorted(set(SINGLE_STAGE_PINS[case]) - {"stdout", "stderr"}):
         digests[name] = hashlib.sha256((tmp_path / "single" / name).read_bytes()).hexdigest()

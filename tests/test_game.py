@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -609,6 +610,28 @@ def test_evaluators_reject_moves_along_non_edges(evaluator):
     adv = game.AdversaryStrategy({(0, 1): {1: 1.0}, (1, 1): {3: 1.0}, (2, 1): {DROP: 1.0}})
     d = game.DefenderStrategy.zeros(g)
     with pytest.raises(ValidationError, match=r"^state \(1, 1\) moves to 3, not a neighbor of 1$"):
+        if evaluator == "exact":
+            game.evaluate_exact(g, p, d, adv)
+        else:
+            game.evaluate_monte_carlo(g, p, d, adv, 100, 0)
+
+
+@pytest.mark.parametrize("state, dist, message", [
+    ((1, 1), {2: float("nan"), DROP: 1.0}, "assigns a non-finite probability to 2"),
+    ((1, 1), {2: -0.5, DROP: 1.5}, "has a negative probability"),
+    ((1, 1), {2: 0.5, DROP: 0.4}, "distribution sums to 0.9"),
+    ((9, 1), {DROP: 1.0}, "has an out-of-range node"),
+], ids=["nan", "negative", "not-summing", "outside-graph"])
+@pytest.mark.parametrize("evaluator", ["exact", "monte_carlo"])
+def test_evaluators_reject_what_validate_rejects(evaluator, state, dist, message):
+    g = chain_instance()
+    p = game.default_params(g)
+    adv = game.AdversaryStrategy({**game.AdversaryStrategy.uniform(g).moves, state: dist})
+    d = game.DefenderStrategy.zeros(g)
+    pattern = re.escape(f"state {state} {message}")
+    with pytest.raises(ValidationError, match=pattern):
+        adv.validate(g)
+    with pytest.raises(ValidationError, match=pattern):
         if evaluator == "exact":
             game.evaluate_exact(g, p, d, adv)
         else:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diftgame import game, ifg, single_stage
+from diftgame import game, ifg, respond, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
 from conftest import (
@@ -281,6 +281,21 @@ def test_interior_mixture_with_opposite_signs():
     assert all(w > 0 for w in eq.pi.values())
 
 
+def test_zero_and_positive_coefficients_put_the_mass_on_the_zero_node():
+    # cost(1) = -8 = beta_d - alpha_d makes t1 exactly 0, and cost(2) = -9.6
+    # makes t2 positive; with no negative coefficient node 2 gets weight +0.0,
+    # which adversary_mixture.json writes as 0.0, never -0.0
+    g = ifg.make_graph(2, [], [[1, 2]], [1, 2], traffic=[1.0, 1.6],
+                       rule_relevance=[(1,), (2,)])
+    p = game.GameParams(alpha_a=-10.0, beta_a=(5.0,), alpha_d=1.0, beta_d=(-7.0,),
+                        c1=-2.0, c2=-2.0, gamma=(-4.0, -3.2))
+    eq = single_stage.solve_single_stage(g, p)
+    assert eq.diagnostics == "interior"
+    assert -8.0 - eq.costs[1] == 0.0 < -8.0 - eq.costs[2]
+    assert eq.pi == {1: 1.0, 2: 0.0}
+    assert math.copysign(1.0, eq.pi[2]) == 1.0
+
+
 def test_interior_defender_probabilities_solve_ratio_system(rng):
     for seed in range(5):
         g, p = interior_instance(rng, seed=3000 + seed)
@@ -431,6 +446,36 @@ def test_boundary_all_positive_coefficients_not_detect_row():
     assert np.all(eq.defender.probs == 0.0)
     assert eq.u_a == pytest.approx(5.0)
     assert eq.u_d == pytest.approx(-2.0)
+
+
+def test_boundary_rows_agree_with_the_adversary_best_response():
+    # the solver builds both rows without asking the best response whether
+    # the adversary drops: the Detected row arms every cut cell, so every
+    # attack path meets certain detection; the Not-detected row arms none,
+    # so the adversary walks in, across a cut node
+    rows = {1.0: 0, 0.0: 0}
+    for seed in range(40):
+        base = gen_graph(60, 1, 2, 3, 0.05, seed=seed)
+        traffic = np.random.default_rng(seed).uniform(10.0, 40.0, base.n)
+        for g in (base, replace(base, traffic=tuple(traffic.tolist()), fractional_traffic=False)):
+            p = game.default_params(g)
+            eq = single_stage.solve_single_stage(g, p)
+            if eq.diagnostics != "boundary":
+                continue
+            (row,) = set(eq.products.values())
+            rows[row] += 1
+            cells = eq.defender.cells(g)[np.isin(g.defender_cells[0], eq.nodes)]
+            assert np.all(cells == row) and np.count_nonzero(eq.defender.probs) == row * cells.size
+            br = respond.adversary_best_response(g, p, eq.defender)
+            assert eq.u_a == br.value
+            if row:
+                assert br.dropped
+                assert (eq.pi, eq.paths) == ({}, {})
+            else:
+                assert not br.dropped
+                anchor = min(set(eq.nodes) & set(br.path))
+                assert (eq.pi, eq.paths) == ({anchor: 1.0}, {anchor: br.path})
+    assert min(rows.values()) >= 5
 
 
 def test_representative_paths_cross_only_their_cut_node(rng):
