@@ -15,13 +15,13 @@ Submodules:
                      internal-regret minimization
 * ``generate``     - synthetic staged attack graphs
 * ``experiments``  - cost-scale sweeps
-* ``cli``          - the ``diftgame`` command-line driver
+* ``cli``          - the ``diftgame`` command-line driver; not imported here,
+                     so ``python -m diftgame.cli`` runs it without a warning
 """
 
-from . import cli, errors, experiments, game, generate, ifg, learn, respond, single_stage
+from . import errors, experiments, game, generate, ifg, learn, respond, single_stage
 
 __all__ = [
-    "cli",
     "errors",
     "experiments",
     "game",

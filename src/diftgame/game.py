@@ -19,7 +19,8 @@ These evaluators share these semantics:
                              absorbing Markov chain over decision states,
                              exact over an unbounded horizon, cyclic support
                              included; the chain is built once per adversary
-                             and solved once per defender.
+                             and solved once per distinct detection at its
+                             move targets.
 * ``evaluate_monte_carlo`` - seeded vectorized rollouts, with standard errors;
                              walks still alive after ``max_len`` moves count as
                              drops.
@@ -266,19 +267,24 @@ class DefenderStrategy:
         return self.probs[graph.defender_cells]
 
     def detection_vector(self, graph: InformationFlowGraph) -> np.ndarray:
-        """Per-node detection probability; index 0 (pseudo-source) is 0.
-
-        Every node multiplies its ``cells`` left to right, starting at its
-        tag: tag, trap, then its relevant rules in ``relevance`` order.
-        """
-        cells = self.cells(graph)
-        _, columns = graph.defender_cells
-        d = np.zeros(graph.n + 1)
-        d[1:] = np.multiply.reduceat(cells, np.flatnonzero(columns == 0))
-        return d
+        """Per-node detection probability of ``cells``; index 0 (pseudo-source) is 0."""
+        return cell_detection(graph, self.cells(graph))
 
     def __eq__(self, other):
         return isinstance(other, DefenderStrategy) and np.array_equal(self.probs, other.probs)
+
+
+def cell_detection(graph: InformationFlowGraph, cells: np.ndarray) -> np.ndarray:
+    """Per-node detection probability of a cell vector over ``graph.defender_cells``;
+    index 0 (pseudo-source) is 0.
+
+    Every node multiplies its cells left to right, starting at its tag: tag,
+    trap, then its relevant rules in ``relevance`` order.
+    """
+    _, columns = graph.defender_cells
+    d = np.zeros(graph.n + 1)
+    d[1:] = np.multiply.reduceat(cells, np.flatnonzero(columns == 0))
+    return d
 
 
 def _clipped(probs: np.ndarray) -> np.ndarray:
@@ -613,6 +619,21 @@ def strategy_costs(
     return tuple(_exact_sum(terms) for terms in _cost_terms(graph, params, defender.probs))
 
 
+def cell_strategy_costs(
+    graph: InformationFlowGraph, prices: np.ndarray, cells: np.ndarray
+) -> tuple[float, float, float]:
+    """``strategy_costs`` of ``DefenderStrategy.from_cells(graph, cells)`` for
+    cells in [0, 1], with ``prices`` from ``GameParams.cell_costs(graph)``.
+
+    Every term is the product the matrix path forms, and the cells outside
+    the table hold 0 there, so the correctly rounded sums are the same.
+    """
+    _, columns = graph.defender_cells
+    terms = cells * prices
+    return (_exact_sum(terms[columns == 0]), _exact_sum(terms[columns == 1]),
+            _exact_sum(terms[columns >= 2]))
+
+
 def _cost_terms(graph: InformationFlowGraph, params: GameParams, probs: np.ndarray):
     """Tag, trap and rule cost terms of every cell of a defender matrix."""
     tag, trap = params.tag_trap_costs(graph)
@@ -713,6 +734,11 @@ class AbsorbingChain:
     support that no move leaves and no member leaks from.  Only these classes
     are checked per defender; every other state has a path to a drop or a
     completion.
+
+    ``masses`` reads the detection vector only at the move targets, so its
+    result is memoised per chain on the bytes of those entries: equal bytes
+    are equal floats, and a hit returns what a fresh solve would.
+    ``solves`` counts the solves actually made.
     """
 
     def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
@@ -753,6 +779,9 @@ class AbsorbingChain:
             k += 1
         self._from = np.array(frm, dtype=np.intp)
         self._target = np.array(target, dtype=np.intp)
+        self._distinct_targets = np.unique(self._target)
+        self._solved: dict[bytes, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        self.solves = 0
         self._stage_index = np.array(stage, dtype=np.intp) - 1
         self._prob = np.array(prob, dtype=float)
         to_arr = np.array(to, dtype=np.intp)
@@ -776,8 +805,15 @@ class AbsorbingChain:
 
     def masses(self, detection: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-stage detection (p_t) and crossing (p_r) masses for ``detection``."""
-        k = len(self.states)
         d = np.asarray(detection, dtype=float)
+        key = d[self._distinct_targets].tobytes()
+        if key not in self._solved:
+            self._solved[key] = self._solve(d)
+            self.solves += 1
+        return self._solved[key]
+
+    def _solve(self, d: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        k = len(self.states)
         d_move = d[self._target]
         survive = self._prob * (1.0 - d_move)
         system = np.eye(k)
@@ -797,11 +833,6 @@ class AbsorbingChain:
         p_t = np.bincount(self._stage_index, weights=flow * d_move, minlength=self.graph.n_stages)
         p_r = (flow * (1.0 - d_move)) @ self._crossings
         return tuple(p_t.tolist()), tuple(p_r.tolist())
-
-    def evaluate(self, params: GameParams, defender: DefenderStrategy) -> tuple[float, float]:
-        p_t, p_r = self.masses(defender.detection_vector(self.graph))
-        tag, trap, rule = strategy_costs(self.graph, params, defender)
-        return assemble_utilities(params, p_t, p_r, tag + trap + rule)
 
 
 def evaluate_exact(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .game import DROP, AbsorbingChain, AdversaryStrategy, DefenderStrategy, GameParams
+from .game import DROP, AdversaryStrategy, DefenderStrategy, GameParams
 from .ifg import SOURCE, InformationFlowGraph
 
 ADVANCE = -2  # placeholder action of forced stage-transition players
@@ -114,16 +114,6 @@ class PlayerRoster:
 # ---------------------------------------------------------------------------
 # swap transformations and their fixed point
 # ---------------------------------------------------------------------------
-
-
-def swap_distribution(p, r: int, s: int) -> np.ndarray:
-    """Copy of ``p`` with all mass of action ``r`` moved onto action ``s``."""
-    if r == s:
-        raise ValidationError("swap needs two distinct actions")
-    q = np.array(p, dtype=float)
-    q[s] += q[r]
-    q[r] = 0.0
-    return q
 
 
 def fixed_point(delta) -> np.ndarray:
@@ -507,41 +497,6 @@ def run(
 # ---------------------------------------------------------------------------
 # verification utilities
 # ---------------------------------------------------------------------------
-
-
-def expected_swap_utility(
-    roster: PlayerRoster,
-    player: int,
-    p_swapped,
-    profile,
-    graph: InformationFlowGraph,
-    params: GameParams,
-) -> float:
-    """Reference expectation of a player's utility under a swapped mixture.
-
-    Evaluates sum_a p_swapped(a) * U(a, others), scoring each pure profile on
-    an ``AbsorbingChain`` of its one-hot mixtures; it shares no code with the
-    learner's rollout, whose incremental bookkeeping must agree with it.
-    The two semantics coincide on pure profiles: with 0/1 detection a node
-    detects on every visit or on none, so per-visit and committed detection
-    agree, and a committed cycle is a closed class that never detects, which
-    the chain leaves out just as the rollout ends the walk there.
-    """
-    target = roster.players[player]
-    p_swapped = np.asarray(p_swapped, dtype=float)
-    if len(p_swapped) != target.n_actions:
-        raise ValidationError("swapped distribution length differs from the action count")
-    total = 0.0
-    work = np.array(profile, dtype=np.int64)
-    for a_idx, weight in enumerate(p_swapped):
-        if weight == 0.0:
-            continue
-        work[player] = a_idx
-        onehot = [np.eye(pl.n_actions)[a] for pl, a in zip(roster.players, work)]
-        chain = AbsorbingChain(graph, roster.adversary_strategy(onehot))
-        u_d, u_a = chain.evaluate(params, roster.defender_strategy(onehot))
-        total += weight * (u_a if target.kind in ("move", "entry") else u_d)
-    return total
 
 
 def _profile_gains(ctx: _Rollout, actions: np.ndarray):

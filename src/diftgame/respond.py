@@ -36,6 +36,9 @@ from .game import (
     AdversaryStrategy,
     DefenderStrategy,
     GameParams,
+    assemble_utilities,
+    cell_detection,
+    cell_strategy_costs,
     evaluate_monte_carlo,  # noqa: F401  unused here; the benchmark's tracer patches this binding
 )
 from .ifg import SOURCE, InformationFlowGraph
@@ -171,8 +174,10 @@ class DefenderObjective:
     """f(V') = defender payoff of the strategy induced by a level subset.
 
     Exact: the adversary strategy is compiled once into an ``AbsorbingChain``
-    and every evaluation solves it for the induced detection vector, with
-    detection drawn on every node visit and no bound on the walk length.
+    and every evaluation scores the induced cell vector on it, with detection
+    drawn on every node visit and no bound on the walk length.  The chain
+    solves again only when detection changes at a node the adversary moves
+    to.  ``value`` equals the ``evaluate_exact`` ``u_d`` of ``strategy_for``.
     """
 
     def __init__(
@@ -186,18 +191,23 @@ class DefenderObjective:
         self.graph = graph
         params.check_against(self.graph)
         self.params = params
+        self.adversary = adversary
         self.levels = levels
         self.scheme = scheme
         self.ground = build_ground_set(self.graph, levels, scheme)
         self.n_evaluations = 0
         self._chain = AbsorbingChain(self.graph, adversary)
+        self._prices = params.cell_costs(self.graph)
         # element e raises cell e // levels of ``defender_cells`` in the
         # component scheme and every cell of node e // levels + 1 in the node
         # scheme; _steps[k] is k level steps of 1/levels, added one at a time
-        self._steps = np.array(list(itertools.accumulate([1.0 / levels] * levels, initial=0.0)))
+        # and clipped to 1 as ``DefenderStrategy.from_cells`` clips
+        steps = itertools.accumulate([1.0 / levels] * levels, initial=0.0)
+        self._steps = np.minimum(np.array(list(steps)), 1.0)
 
-    def strategy_for(self, selected) -> DefenderStrategy:
-        """Every selected element adds one level step to each of its cells.
+    def _cells(self, selected) -> np.ndarray:
+        """One value per cell of ``graph.defender_cells``: every selected
+        element adds one level step to each of its cells.
 
         A cell raised k times holds ``_steps[k]``, the sum of k adds of the
         same 1/levels constant, which does not depend on their order.
@@ -210,20 +220,18 @@ class DefenderObjective:
             raised = np.bincount(owner, minlength=nodes.size)
         else:
             raised = np.bincount(owner, minlength=self.graph.n)[nodes - 1]
-        return DefenderStrategy.from_cells(self.graph, self._steps[raised])
+        return self._steps[raised]
+
+    def strategy_for(self, selected) -> DefenderStrategy:
+        return DefenderStrategy.from_cells(self.graph, self._cells(selected))
 
     def value(self, selected) -> float:
         self.n_evaluations += 1
-        u_d, _ = self._chain.evaluate(self.params, self.strategy_for(selected))
+        cells = self._cells(selected)
+        p_t, p_r = self._chain.masses(cell_detection(self.graph, cells))
+        tag, trap, rule = cell_strategy_costs(self.graph, self._prices, cells)
+        u_d, _ = assemble_utilities(self.params, p_t, p_r, tag + trap + rule)
         return u_d
-
-
-def marginal_gain(objective: DefenderObjective, selected, element: int) -> float:
-    """f(V' + element) - f(V') via two objective evaluations."""
-    selected = set(selected)
-    if element in selected:
-        raise ValidationError(f"element {element} is already selected")
-    return objective.value(selected | {element}) - objective.value(selected)
 
 
 @dataclass(frozen=True)

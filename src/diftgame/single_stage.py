@@ -278,17 +278,6 @@ class SingleStageEquilibrium:
             total += weight * _path_payoffs(params, detection[node], spent)[0]
         return total
 
-    def matrix_adversary_value(
-        self,
-        graph: InformationFlowGraph,
-        params: GameParams,
-        node: int,
-        defender: DefenderStrategy | None = None,
-    ) -> float:
-        """Adversary payoff of the attack path through ``node``."""
-        defender = self.defender if defender is None else defender
-        return _path_payoffs(params, defender.detection_vector(graph)[node], 0.0)[1]
-
 
 def _cell_slices(graph: InformationFlowGraph, nodes) -> dict[int, slice]:
     """Per node, the slice of ``graph.defender_cells`` that holds its cells:

@@ -25,7 +25,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from diftgame import game, ifg
+from diftgame import game, ifg, single_stage
 from diftgame.errors import ValidationError
 from diftgame.ifg import SOURCE
 
@@ -780,6 +780,70 @@ def oracle_monte_carlo(graph, params, defender, adversary, n_trials, seed, max_l
             "truncated": n_truncated,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# reference quantities that only the tests read
+# ---------------------------------------------------------------------------
+
+
+def oracle_objective_value(objective, selected):
+    """``DefenderObjective.value`` as the dense path: the strategy matrix of
+    ``strategy_for``, scored by ``evaluate_exact`` on a fresh chain."""
+    defender = objective.strategy_for(selected)
+    return game.evaluate_exact(objective.graph, objective.params, defender, objective.adversary).u_d
+
+
+def marginal_gain(objective, selected, element):
+    """f(V' + element) - f(V') via two objective evaluations."""
+    selected = set(selected)
+    if element in selected:
+        raise ValidationError(f"element {element} is already selected")
+    return objective.value(selected | {element}) - objective.value(selected)
+
+
+def matrix_adversary_value(eq, graph, params, node, defender=None):
+    """Adversary payoff of the matrix game's attack path through ``node``."""
+    defender = eq.defender if defender is None else defender
+    return single_stage._path_payoffs(params, defender.detection_vector(graph)[node], 0.0)[1]
+
+
+def swap_distribution(p, r, s):
+    """Copy of ``p`` with all mass of action ``r`` moved onto action ``s``."""
+    if r == s:
+        raise ValidationError("swap needs two distinct actions")
+    q = np.array(p, dtype=float)
+    q[s] += q[r]
+    q[r] = 0.0
+    return q
+
+
+def expected_swap_utility(roster, player, p_swapped, profile, graph, params):
+    """Reference expectation of a player's utility under a swapped mixture.
+
+    Evaluates sum_a p_swapped(a) * U(a, others), scoring each pure profile
+    with ``evaluate_exact`` on its one-hot mixtures; it shares no code with the
+    learner's rollout, whose incremental bookkeeping must agree with it.
+    The two semantics coincide on pure profiles: with 0/1 detection a node
+    detects on every visit or on none, so per-visit and committed detection
+    agree, and a committed cycle is a closed class that never detects, which
+    the chain leaves out just as the rollout ends the walk there.
+    """
+    target = roster.players[player]
+    p_swapped = np.asarray(p_swapped, dtype=float)
+    if len(p_swapped) != target.n_actions:
+        raise ValidationError("swapped distribution length differs from the action count")
+    total = 0.0
+    work = np.array(profile, dtype=np.int64)
+    for a_idx, weight in enumerate(p_swapped):
+        if weight == 0.0:
+            continue
+        work[player] = a_idx
+        onehot = [np.eye(pl.n_actions)[a] for pl, a in zip(roster.players, work)]
+        report = game.evaluate_exact(graph, params, roster.defender_strategy(onehot),
+                                     roster.adversary_strategy(onehot))
+        total += weight * (report.u_a if target.kind in ("move", "entry") else report.u_d)
+    return total
 
 
 @pytest.fixture

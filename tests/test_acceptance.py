@@ -13,6 +13,8 @@ from diftgame import game, generate, learn, respond, single_stage
 from diftgame.experiments import DEFAULT_FACTORS, sweep_cost
 
 from conftest import (
+    marginal_gain,
+    matrix_adversary_value,
     oracle_best_path_value,
     oracle_power_iteration,
     oracle_separator_min_cost,
@@ -106,8 +108,8 @@ def test_criterion_3_diminishing_returns():
             others = [e for e in range(n) if e != element]
             small = {e for e in others if rng.random() < 0.35}
             large = small | {e for e in others if rng.random() < 0.5}
-            gain_small = respond.marginal_gain(objective, small, element)
-            gain_large = respond.marginal_gain(objective, large, element)
+            gain_small = marginal_gain(objective, small, element)
+            gain_large = marginal_gain(objective, large, element)
             violation = gain_large - gain_small
             worst = max(worst, violation)
             assert violation <= 1e-9, f"triple violates diminishing returns by {violation}"
@@ -216,7 +218,7 @@ def test_criterion_5_single_stage_epsilon_ne():
                         g, p, defender=eq.defender.with_entry(node, comp, x))
                     worst_gain = max(worst_gain, dev - base)
                     assert dev - base <= 1e-6
-        values = {i: eq.matrix_adversary_value(g, p, i) for i in eq.nodes}
+        values = {i: matrix_adversary_value(eq, g, p, i) for i in eq.nodes}
         base_a = sum(eq.pi[i] * values[i] for i in eq.nodes)
         for i in eq.nodes:
             for j in eq.nodes:

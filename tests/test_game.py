@@ -524,7 +524,8 @@ def test_absorbing_chain_matches_compiled_walks_on_dags(rng):
         detection = d.detection_vector(g)
         for got, want in zip(chain.masses(detection), compiled.masses(detection)):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-        for got, want in zip(chain.evaluate(p, d), compiled.evaluate(p, d)):
+        exact = game.evaluate_exact(g, p, d, adv)
+        for got, want in zip((exact.u_d, exact.u_a), compiled.evaluate(p, d)):
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -535,7 +536,8 @@ def test_absorbing_chain_matches_monte_carlo_on_cyclic_graphs(n):
     p = game.default_params(g)
     d = game.DefenderStrategy.random(g, rng)
     adv = game.AdversaryStrategy.random(g, rng)
-    u_d, u_a = game.AbsorbingChain(g, adv).evaluate(p, d)
+    exact = game.evaluate_exact(g, p, d, adv)
+    u_d, u_a = exact.u_d, exact.u_a
     mc = game.evaluate_monte_carlo(g, p, d, adv, n_trials=200_000, seed=n)
     assert mc.truncated_mass == 0.0
     assert abs(u_d - mc.u_d) <= 4 * mc.std_err_d
@@ -576,7 +578,8 @@ def test_absorbing_chain_closed_zero_detection_cycle():
     p_t, p_r = chain.masses(d.detection_vector(g))
     assert p_t == pytest.approx((0.8 * 0.3 + 0.8 * 0.7 * 0.5 * 0.5, 0.0), abs=1e-15)
     assert p_r == pytest.approx((ENTERS_CYCLE, 0.0), abs=1e-15)
-    u_d, u_a = chain.evaluate(p, d)
+    exact = game.evaluate_exact(g, p, d, adv)
+    u_d, u_a = exact.u_d, exact.u_a
     assert math.isfinite(u_d) and math.isfinite(u_a)
     trials = 200_000
     mc = game.evaluate_monte_carlo(g, p, d, adv, n_trials=trials, seed=3, max_len=30)

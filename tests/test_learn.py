@@ -6,10 +6,11 @@ import pytest
 from diftgame import game, ifg, learn
 from diftgame.errors import ValidationError
 from diftgame.game import DROP
-from diftgame.learn import ADVANCE, LearnerConfig, PlayerRoster, fixed_point, swap_distribution
+from diftgame.learn import ADVANCE, LearnerConfig, PlayerRoster, fixed_point
 
 from conftest import (
     cell_price,
+    expected_swap_utility,
     oracle_power_iteration,
     oracle_profile_utilities,
     oracle_stationary,
@@ -17,6 +18,7 @@ from conftest import (
     random_dag_instance,
     random_params,
     swap_chain,
+    swap_distribution,
 )
 
 
@@ -163,7 +165,7 @@ def test_expected_swap_utility_degenerate_is_pure_utility(rng):
         work[idx] = a
         u_d, u_a = oracle_profile_utilities(g, p, roster, work)
         want = u_a if player.kind in ("move", "entry") else u_d
-        got = learn.expected_swap_utility(roster, idx, point, profile, g, p)
+        got = expected_swap_utility(roster, idx, point, profile, g, p)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -175,8 +177,8 @@ def test_expected_swap_utility_defender_off_path_is_flat(rng):
     profile = np.zeros(len(roster), dtype=np.int64)
     idx = roster.defender_index[(2, 0)]  # node 2's tag; node 2 is off every walk
     for swapped in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
-        got = learn.expected_swap_utility(roster, idx, swapped, profile, g, p)
-        base = learn.expected_swap_utility(roster, idx, [1.0, 0.0], profile, g, p)
+        got = expected_swap_utility(roster, idx, swapped, profile, g, p)
+        base = expected_swap_utility(roster, idx, [1.0, 0.0], profile, g, p)
         assert got == pytest.approx(base + swapped[1] * cell_price(g, p, 2, 0), abs=1e-12)
 
 
@@ -187,7 +189,7 @@ def test_expected_swap_utility_matches_sampling_oracle(rng):
     player = roster.players[idx]
     weights = rng.dirichlet(np.ones(player.n_actions))
     swapped = swap_distribution(weights, 0, player.n_actions - 1)
-    exact = learn.expected_swap_utility(roster, idx, swapped, profile, g, p)
+    exact = expected_swap_utility(roster, idx, swapped, profile, g, p)
     # Monte Carlo oracle: sample the player's action from the swapped mixture
     draws = 100_000
     counts = rng.multinomial(draws, swapped)
@@ -195,7 +197,7 @@ def test_expected_swap_utility_matches_sampling_oracle(rng):
     for a in range(player.n_actions):
         point = np.zeros(player.n_actions)
         point[a] = 1.0
-        utils[a] = learn.expected_swap_utility(roster, idx, point, profile, g, p)
+        utils[a] = expected_swap_utility(roster, idx, point, profile, g, p)
     estimate = float(counts @ utils) / draws
     spread = float(np.sqrt(np.var(np.repeat(utils, counts)) / draws))
     assert abs(estimate - exact) <= 3 * max(spread, 1e-9)
@@ -316,7 +318,7 @@ def test_run_underflowed_move_player_is_swap_chain_fixed_point():
     big_g = np.zeros((k, k))
     for actions in res.profiles.astype(np.int64):
         utils = np.array([
-            learn.expected_swap_utility(roster, idx, np.eye(k)[a], actions, g, p)
+            expected_swap_utility(roster, idx, np.eye(k)[a], actions, g, p)
             for a in range(k)
         ])
         for r in range(k):
@@ -339,7 +341,7 @@ def test_adversary_players_share_utility_and_defenders_too(rng):
             continue
         point = np.zeros(player.n_actions)
         point[profile[idx]] = 1.0
-        u = learn.expected_swap_utility(roster, idx, point, profile, g, p)
+        u = expected_swap_utility(roster, idx, point, profile, g, p)
         expected = u_a if player.kind in ("move", "entry") else u_d
         assert u == pytest.approx(expected, abs=1e-12)
 
@@ -365,7 +367,7 @@ def test_profile_gains_match_chain_reference(kind):
             for idx, player in enumerate(roster.players):
                 if player.n_actions < 2:
                     continue
-                utils = [learn.expected_swap_utility(roster, idx, np.eye(player.n_actions)[a],
+                utils = [expected_swap_utility(roster, idx, np.eye(player.n_actions)[a],
                                                      profile, g, p)
                          for a in range(player.n_actions)]
                 r = profile[idx]
@@ -470,7 +472,7 @@ def test_run_matches_naive_reference_dynamics(rng):
             if pl.n_actions == 1:
                 continue
             utils = np.array([
-                learn.expected_swap_utility(
+                expected_swap_utility(
                     roster, i,
                     np.eye(pl.n_actions)[a], actions, g, p)
                 for a in range(pl.n_actions)
@@ -480,7 +482,7 @@ def test_run_matches_naive_reference_dynamics(rng):
                 for s in range(pl.n_actions):
                     if r == s:
                         continue
-                    swapped = learn.swap_distribution(p_i, r, s)
+                    swapped = swap_distribution(p_i, r, s)
                     big_g[i][r, s] += float(swapped @ utils)
             delta = learn._softmax_pairs(big_g[i], cfg.eta)
             dist[i] = fixed_point(delta)

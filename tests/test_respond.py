@@ -10,7 +10,9 @@ from diftgame.game import DROP
 
 from conftest import (
     cell_price,
+    marginal_gain,
     oracle_best_path_value,
+    oracle_objective_value,
     oracle_strategy_for,
     random_dag_instance,
     random_params,
@@ -195,7 +197,7 @@ def test_marginal_gain_off_path_is_pure_cost(rng):
         if node != 2:
             continue
         expected = cell_price(g, p, 2, comp - 1)
-        gain = respond.marginal_gain(objective, set(), element)
+        gain = marginal_gain(objective, set(), element)
         assert gain == pytest.approx(expected / 2.0, abs=1e-12)
 
 
@@ -212,7 +214,7 @@ def test_marginal_gain_constant_when_detection_term_vanishes(rng):
     gains = set()
     for _ in range(5):
         base = {e for e in others if rng.random() < 0.5}
-        gains.add(round(respond.marginal_gain(objective, base, element), 12))
+        gains.add(round(marginal_gain(objective, base, element), 12))
     assert len(gains) == 1
 
 
@@ -227,8 +229,8 @@ def test_marginal_gains_diminish_on_node_scheme(rng):
         others = [e for e in range(n) if e != element]
         small = {e for e in others if rng.random() < 0.3}
         large = small | {e for e in others if rng.random() < 0.5}
-        g_small = respond.marginal_gain(objective, small, element)
-        g_large = respond.marginal_gain(objective, large, element)
+        g_small = marginal_gain(objective, small, element)
+        g_large = marginal_gain(objective, large, element)
         assert g_small >= g_large - 1e-9
 
 
@@ -242,8 +244,8 @@ def test_component_scheme_is_not_submodular():
     objective = respond.DefenderObjective(g, p, adv, levels=1, scheme="component")
     tag_1 = objective.ground.index((1, 1, 1))
     trap_1 = objective.ground.index((1, 2, 1))
-    gain_empty = respond.marginal_gain(objective, set(), trap_1)
-    gain_with_tag = respond.marginal_gain(objective, {tag_1}, trap_1)
+    gain_empty = marginal_gain(objective, set(), trap_1)
+    gain_with_tag = marginal_gain(objective, {tag_1}, trap_1)
     assert gain_with_tag > gain_empty + 1.0  # strict supermodular violation
 
 
@@ -346,7 +348,7 @@ def test_objective_is_exact_on_cyclic_support(monkeypatch):
     monkeypatch.setattr(game, "evaluate_monte_carlo", refuse)
     monkeypatch.setattr(respond, "evaluate_monte_carlo", refuse)
     res = respond.defender_best_response_greedy(g, p, adv, levels=1)
-    u_d, _ = game.AbsorbingChain(g, adv).evaluate(p, res.strategy)
+    u_d = game.evaluate_exact(g, p, res.strategy, adv).u_d
     assert res.value == pytest.approx(u_d, rel=1e-12, abs=1e-9)
     mc = sample(g, p, res.strategy, adv, n_trials=100_000, seed=11)
     assert abs(res.value - mc.u_d) <= 4 * mc.std_err_d
@@ -360,3 +362,110 @@ def test_levels_validation():
         with pytest.raises(ValidationError, match="levels must be a positive integer"):
             respond.DefenderObjective(g, game.default_params(g),
                                       game.AdversaryStrategy.uniform(g), levels)
+
+
+def persistent_adversary(graph, rng, drop=0.02):
+    """Random moves that drop with probability ``drop`` at every decision state."""
+    moves = {}
+    for v, j in game.AdversaryStrategy.decision_states(graph):
+        succ = graph.successors.get(v, ())
+        w = rng.dirichlet(np.ones(len(succ))) * (1.0 - drop) if succ else ()
+        moves[(v, j)] = {**{a: float(p) for a, p in zip(succ, w)}, DROP: drop if succ else 1.0}
+    return game.AdversaryStrategy(moves)
+
+
+def full_table_graph():
+    """A hand-made graph without ``rule_relevance``: every rule is relevant at
+    every node, so its cell table is the full n(n+2)."""
+    edges = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (6, 8)]
+    return ifg.make_graph(8, edges, [[8]], [1], traffic=[1.0 + i for i in range(1, 9)])
+
+
+def objective_cases(rng):
+    """(graph, params, adversary) over random, cyclic persistent and pure-walk adversaries."""
+    g = random_dag_instance(rng, n_max=7, m_max=3)
+    yield g, random_params(rng, g.n, g.n_stages), game.AdversaryStrategy.random(g, rng)
+    g = generate.gen_graph(20, 2, [1, 1], 2, 0.2, seed=3)
+    comp = ifg.strong_components([list(g.successors.get(v, ())) for v in range(g.n + 1)], [ifg.SOURCE])
+    reached = [c for c in comp if c >= 0]
+    assert len(set(reached)) < len(reached)  # the support has a cycle
+    yield g, game.default_params(g), persistent_adversary(g, rng)
+    p = random_params(rng, g.n, g.n_stages)
+    walk = respond.adversary_best_response(g, p, game.DefenderStrategy.random(g, rng)).path
+    yield g, p, game.AdversaryStrategy.pure_walk(g, walk)
+    g = full_table_graph()
+    assert g.defender_cells[0].size == g.n * (g.n + 2)
+    yield g, random_params(rng, g.n, 1), game.AdversaryStrategy.random(g, rng)
+    yield g, random_params(rng, g.n, 1), game.AdversaryStrategy.pure_walk(g, (0, 1, 3, 7, 8))
+
+
+def test_objective_value_equals_dense_path(rng):
+    # the cell-vector objective and its solve cache give the very float that
+    # the dense matrix scored on a fresh chain gives; nine adds of 1/9 round
+    # above 1, where the matrix clips
+    for g, p, adv in objective_cases(rng):
+        for scheme in ("component", "node"):
+            for levels in (1, 2, 3, 9):
+                objective = respond.DefenderObjective(g, p, adv, levels, scheme)
+                n = len(objective.ground)
+                subsets = [set(), set(range(n))]
+                subsets += [set(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.1, 0.3, 0.6, 0.9)]
+                for selected in subsets + subsets:  # the second round hits the cache
+                    assert objective.value(selected) == oracle_objective_value(objective, selected)
+
+
+def test_off_walk_candidate_adds_no_solve(rng):
+    g = full_table_graph()
+    adv = game.AdversaryStrategy.pure_walk(g, (0, 1, 3, 7, 8))
+    objective = respond.DefenderObjective(g, random_params(rng, g.n, 1), adv, levels=2)
+    chain = objective._chain
+    objective.value(set())
+    assert chain.solves == 1
+    for element, (node, _, _) in enumerate(objective.ground):
+        if node not in (1, 3, 7, 8):
+            objective.value({element})
+    assert objective.n_evaluations > 1
+    assert chain.solves == 1
+    objective.value({objective.ground.index((3, 1, 1))})  # a tag alone leaves d[3] at 0
+    assert chain.solves == 1
+    # every cell of node 3 at one level raises d[3] above 0
+    objective.value({e for e, (node, _, level) in enumerate(objective.ground) if node == 3 and level == 1})
+    assert chain.solves == 2
+
+
+def test_masses_read_detection_only_at_move_targets(rng):
+    g = full_table_graph()
+    walk = (0, 1, 3, 7, 8)
+    chain = game.AbsorbingChain(g, game.AdversaryStrategy.pure_walk(g, walk))
+    d1 = rng.random(g.n + 1)
+    d1[0] = 0.0
+    d2 = d1.copy()
+    off = [v for v in range(1, g.n + 1) if v not in walk]
+    d2[off] = rng.random(len(off))
+    first = chain.masses(d1)
+    assert chain.masses(d2) == first
+    assert chain.solves == 1
+    assert game.AbsorbingChain(g, game.AdversaryStrategy.pure_walk(g, walk)).masses(d2) == first
+
+
+def test_greedy_solves_once_per_distinct_detection_at_targets(rng, monkeypatch):
+    g = generate.gen_graph(20, 2, [1, 1], 2, 0.2, seed=3)
+    p = game.default_params(g)
+    adv = game.AdversaryStrategy.random(g, rng)
+    seen = []
+    masses = game.AbsorbingChain.masses
+
+    def recording(chain, detection):
+        seen.append((chain, detection.copy()))
+        return masses(chain, detection)
+
+    monkeypatch.setattr(game.AbsorbingChain, "masses", recording)
+    res = respond.defender_best_response_greedy(g, p, adv, levels=2)
+    chains = {id(chain): chain for chain, _ in seen}
+    assert len(chains) == 1
+    (chain,) = chains.values()
+    targets = sorted({a for v, j in chain.states for a, q in adv.distribution(v, j).items()
+                      if q > 0.0 and a != DROP})
+    distinct = {d[targets].tobytes() for _, d in seen}
+    assert len(seen) == res.n_evaluations
+    assert chain.solves <= len(distinct) < res.n_evaluations

@@ -8,8 +8,8 @@ from diftgame import game, ifg, respond, single_stage
 from diftgame.errors import NotSingleStage, ValidationError
 
 from conftest import (
-    cell_price, grid_graph, oracle_dinic, oracle_recursive_dinic, oracle_representative_paths,
-    oracle_separator_min_cost, random_params,
+    cell_price, grid_graph, matrix_adversary_value, oracle_dinic, oracle_recursive_dinic,
+    oracle_representative_paths, oracle_separator_min_cost, random_params,
 )
 from diftgame.generate import gen_graph
 
@@ -346,7 +346,7 @@ def test_no_profitable_deviation_at_interior_equilibrium(rng):
     assert eq.diagnostics == "interior"
     assert_no_profitable_defender_deviation(eq, g, p)
     # adversary: mass shifts between cut-node paths never gain
-    values = {i: eq.matrix_adversary_value(g, p, i) for i in eq.nodes}
+    values = {i: matrix_adversary_value(eq, g, p, i) for i in eq.nodes}
     base_a = sum(eq.pi[i] * values[i] for i in eq.nodes)
     for i in eq.nodes:
         for j in eq.nodes:
