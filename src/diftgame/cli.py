@@ -14,6 +14,7 @@ The default output directory is taken from ``DIFTGAME_OUTPUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    _run_stage("write", path.write_text, text, encoding="utf-8")
+    _run_stage("write", path.write_bytes, text.encode("utf-8"))  # no newline translation
 
 
 def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
@@ -345,8 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.n_trials < 1:
         parser.error("--n-trials must be a positive integer")

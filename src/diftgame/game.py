@@ -36,6 +36,7 @@ the chain is tested against on small or acyclic instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -449,9 +450,11 @@ def load_strategy(path):
     kind = raw.get("kind")
     if kind == "defender":
         rows = need(raw, "probs", list, path)
-        if not all(isinstance(row, list) and len(row) == len(rows) + 1 for row in rows):
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(rows) + 1}):
             raise ParseError("expected n + 1 rows of n + 2 numbers", field="probs", path=path)
-        return DefenderStrategy([[read_number(p, "probs", path) for p in row] for row in rows])
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+            rows = [[read_number(p, "probs", path) for p in row] for row in rows]
+        return DefenderStrategy(rows)
     if kind == "adversary":
         def entries(value):
             if not isinstance(value, dict):

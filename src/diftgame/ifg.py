@@ -12,10 +12,14 @@ may overlap across stages and the graph may contain cycles.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -111,7 +115,7 @@ class InformationFlowGraph:
         tags = np.cumsum(sizes) - sizes
         is_rule = np.ones(nodes.size, dtype=bool)
         is_rule[tags] = is_rule[tags + 1] = False
-        rules = np.fromiter(itertools.chain.from_iterable(self.rule_relevance), dtype=np.intp,
+        rules = np.fromiter(chain.from_iterable(self.rule_relevance), dtype=np.intp,
                             count=nodes.size - 2 * self.n)
         rules += 1
         columns = np.zeros(nodes.size, dtype=np.intp)
@@ -183,21 +187,35 @@ def make_graph(
     if rule_relevance is None:
         relevance = (tuple(range(1, n + 1)),) * n
     elif isinstance(rule_relevance, dict):
-        relevance = tuple(tuple(sorted(set(rule_relevance.get(i, ())))) for i in range(1, n + 1))
+        relevance = tuple(map(_collapse, map(rule_relevance.get, range(1, n + 1), repeat(()))))
     else:
-        relevance = tuple(tuple(sorted(set(r))) for r in rule_relevance)
+        relevance = tuple(map(_collapse, rule_relevance))
         if len(relevance) != n:
             raise ValidationError("rule_relevance must list one rule set per node")
+    pairs = list(map(tuple, edges))
+    if not set(map(len, pairs)) <= {2}:
+        raise ValidationError("each edge must be a (u, v) pair")
+    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+        pairs = [(int(u), int(v)) for u, v in pairs]
     return InformationFlowGraph(
         n=n,
         labels=tuple(labels),
-        traffic=tuple(float(b) for b in traffic),
-        edges=tuple(sorted({(int(u), int(v)) for u, v in edges})),
-        stages=tuple(tuple(sorted(set(int(d) for d in dest))) for dest in stages),
-        vulnerable=tuple(sorted(set(int(v) for v in vulnerable))),
+        traffic=tuple(map(float, traffic)),
+        edges=_collapse(pairs),
+        stages=tuple(_collapse(map(int, dest)) for dest in stages),
+        vulnerable=_collapse(map(int, vulnerable)),
         rule_relevance=relevance,
         fractional_traffic=bool(fractional_traffic),
     )
+
+
+def _collapse(items) -> tuple:
+    """``tuple(sorted(set(items)))``; no set or sort when ``items`` already
+    ascend strictly, as every list in a saved file does."""
+    items = tuple(items)
+    if all(map(lt, items, items[1:])):
+        return items
+    return tuple(sorted(set(items)))
 
 
 def validate(graph: InformationFlowGraph) -> list[Violation]:
@@ -278,15 +296,14 @@ def ensure_augmented(graph: InformationFlowGraph) -> InformationFlowGraph:
 
 
 def save(graph: InformationFlowGraph, path) -> None:
-    payload = {
-        "nodes": [
-            {"id": i, "label": graph.labels[i - 1], "traffic": graph.traffic[i - 1]}
-            for i in range(1, graph.n + 1)
-        ],
-        "edges": [list(e) for e in graph.edges],
-        "stages": [list(dest) for dest in graph.stages],
-        "vulnerable": list(graph.vulnerable),
-        "rule_relevance": {str(i): list(graph.rule_relevance[i - 1]) for i in range(1, graph.n + 1)},
+    ids = range(1, graph.n + 1)
+    payload = {  # tuples are written as JSON lists
+        "nodes": [{"id": i, "label": label, "traffic": b}
+                  for i, label, b in zip(ids, graph.labels, graph.traffic)],
+        "edges": graph.edges,
+        "stages": graph.stages,
+        "vulnerable": graph.vulnerable,
+        "rule_relevance": dict(zip(map(str, ids), graph.rule_relevance)),
         "fractional_traffic": graph.fractional_traffic,
         "augmented": False,
     }
@@ -296,48 +313,225 @@ def save(graph: InformationFlowGraph, path) -> None:
 def write_json(payload: dict, path) -> None:
     """Write ``payload`` as indented, key-sorted JSON ending in a newline.
 
-    The bytes are those of ``json.dump(payload, fh, indent=1, sort_keys=True)``
-    followed by a newline, where a 2-D ``np.ndarray`` value counts as its
-    ``tolist()``.  Such a matrix is written row by row: each row's items are
-    the text of ``json``'s C encoder (``float.__repr__`` for finite floats),
-    and each distinct row (by ``tobytes``, so ``-0.0`` stays apart from
-    ``0.0``) is encoded once, because a defender matrix is mostly identical
-    all-zero rows.  Every other value goes through ``json.dumps`` and is
-    indented one more level, which is safe because JSON text never holds a
-    raw newline inside a string.  The text is written as chunks, never as
-    one whole-file string.
+    The bytes are exactly those of ``json.dump(payload, fh, indent=1,
+    sort_keys=True)`` followed by a newline, where an ``np.ndarray`` counts
+    as its ``tolist()``: plain ASCII, ``\\n`` line ends, the same text on
+    every platform.  ``json`` encodes every value in Python whenever
+    ``indent`` is set, so the per-element work runs in C here:
+
+    - A flat list (of scalars) or a flat str-keyed dict, and a list or
+      dict of such, is one compact C ``json.dumps`` whose ``", "``
+      separators become the indented ones.  A string holding ``", "``
+      would make that ambiguous; the separators are counted, and on a
+      mismatch the value takes the general path.
+    - Every other container is walked item by item, with each scalar
+      written by ``encode_basestring_ascii``, ``float.__repr__`` or
+      ``int.__repr__``, as ``json`` does.
+    - A 2-D numeric array is written row by row.  All-zero rows (by their
+      bits, so ``-0.0`` stays live) share one cached text; a sparse live
+      row splices its non-zero items into that text, and a dense one is
+      a single join over ``map``.
+
+    The result is streamed in binary mode through ``os.writev``, which
+    resumes after short writes, so a large matrix file is copied from its
+    row texts once and never held as one string.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(payload))
+    chunks = _Encoder().encode(payload)
+    with open(path, "wb") as fh:
+        _write_chunks(fh, chunks)
 
 
-def _json_chunks(payload: dict):
-    sep = "{\n"
-    for key in sorted(payload):
-        yield f"{sep} {json.dumps(key)}: "
-        value = payload[key]
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            yield from _matrix_chunks(value)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_DENSE = 3  # a matrix row with more than width / _DENSE non-zero items is written whole
+try:
+    _IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)
+except (AttributeError, ValueError, OSError):
+    _IOV_MAX = 16  # the POSIX minimum
+
+
+class _Encoder:
+    """The bytes of one ``write_json`` call, as a list of chunks."""
+
+    def __init__(self):
+        self.chunks: list[bytes] = []
+        self.text: list[str] = []
+
+    def encode(self, payload) -> list[bytes]:
+        self.value(payload, "")
+        self.text.append("\n")
+        self.flush()
+        return self.chunks
+
+    def flush(self) -> None:
+        self.chunks.append("".join(self.text).encode("ascii"))
+        self.text = []
+
+    def value(self, value, indent: str) -> None:
+        """Append ``value``, whose first line is already indented by ``indent``."""
+        if isinstance(value, np.ndarray):
+            if value.ndim == 2 and value.size and value.dtype.kind in "fiu":
+                self.matrix(value, indent)
+                return
+            value = value.tolist()
+        if not isinstance(value, (list, tuple, dict)):
+            self.text.append(_scalar_text(value))
+        elif not value:
+            self.text.append("{}" if isinstance(value, dict) else "[]")
         else:
-            yield json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
-        sep = ",\n"
-    yield "\n}\n" if payload else "{}\n"
+            flat = _flat_texts([value], indent)
+            if flat is not None:
+                self.text.append(flat[0])
+            else:
+                self.container(value, indent)
+
+    def container(self, value, indent: str) -> None:
+        """Append a non-empty list, tuple or dict that is not flat itself."""
+        inner = indent + " "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            if set(map(type, value)) <= {str}:
+                keys = sorted(value)
+                texts = _flat_texts(list(map(value.__getitem__, keys)), inner)
+                if texts is not None:
+                    items = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
+                    self.text.append(f"{{\n{inner}{sep.join(items)}\n{indent}}}")
+                    return
+            self.text.append("{\n" + inner)
+            for i, (key, item) in enumerate(sorted(value.items())):
+                self.text.append(f"{sep if i else ''}{_key_text(key)}: ")
+                self.value(item, inner)
+            self.text.append(f"\n{indent}}}")
+        else:
+            texts = _flat_texts(list(value), inner)
+            if texts is not None:
+                self.text.append(f"[\n{inner}{sep.join(texts)}\n{indent}]")
+                return
+            self.text.append("[\n" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    self.text.append(sep)
+                self.value(item, inner)
+            self.text.append(f"\n{indent}]")
+
+    def matrix(self, matrix: np.ndarray, indent: str) -> None:
+        """Append a non-empty 2-D numeric array, streaming its rows as chunks."""
+        row_indent, item_indent = indent + " ", indent + "  "
+        bits = np.ascontiguousarray(matrix).view(f"u{matrix.itemsize}")
+        live = np.flatnonzero(bits.any(axis=1))
+        # tolist() gives plain ints and floats, whose repr is json's text when finite
+        finite = matrix.dtype.kind != "f" or np.isfinite(matrix[live]).all()
+        fmt = repr if finite else _float_text
+        width = matrix.shape[1]
+        unit = f"\n{item_indent}{fmt(matrix.dtype.type(0).item())},"
+        run, size = unit * width, len(unit)
+        sep, between = ",\n" + item_indent, ",\n" + row_indent
+        rows = [f"{between}[{run[:-1]}\n{row_indent}]".encode("ascii")] * len(matrix)
+        for r in live.tolist():
+            cols = np.flatnonzero(bits[r])
+            if len(cols) * _DENSE > width:
+                text = f"[\n{item_indent}{sep.join(map(fmt, matrix[r].tolist()))}"
+            else:
+                pieces, done = ["["], 0
+                for c, item in zip(cols.tolist(), map(fmt, matrix[r, cols].tolist())):
+                    pieces += (run[done * size:c * size], "\n", item_indent, item, ",")
+                    done = c + 1
+                pieces.append(run[done * size:])
+                text = "".join(pieces)[:-1]
+            rows[r] = f"{between}{text}\n{row_indent}]".encode("ascii")
+        self.text.append("[\n" + row_indent)
+        self.flush()
+        self.chunks.append(rows[0][len(between):])
+        self.chunks += rows[1:]
+        self.text.append(f"\n{indent}]")
 
 
-def _matrix_chunks(matrix: np.ndarray):
-    """The ``indent=1`` text of ``matrix.tolist()`` as a value of a top-level key."""
-    texts: dict[bytes, str] = {}
-    sep = "[\n  "
-    for row in matrix:
-        key = row.tobytes()
-        text = texts.get(key)
-        if text is None:
-            items = json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
-            text = texts[key] = f"[\n   {items}\n  ]" if items else "[]"
-        yield sep
-        yield text
-        sep = ",\n  "
-    yield "\n ]" if len(matrix) else "[]"
+def _flat_texts(children: list, indent: str) -> list[str] | None:
+    """The indented texts of ``children``, each to follow ``indent`` on its first line.
+
+    Each child must be a list or tuple of scalars or a dict of str keys and
+    scalar values, so one compact ``json.dumps`` of them all holds ``", "``
+    only between items.  Returns None when a child is not flat, or when a
+    string in them holds ``", "`` too, which the count reveals.
+    """
+    kinds = set(map(type, children))
+    if kinds <= {list, tuple}:
+        opening, closing = "[", "]"
+        scalars = chain.from_iterable(children)
+    elif kinds == {dict}:
+        if not set(map(type, chain.from_iterable(children))) <= {str}:
+            return None
+        opening, closing = "{", "}"
+        scalars = chain.from_iterable(map(dict.values, children))
+    else:
+        return None
+    if not set(map(type, scalars)) <= _SCALARS:
+        return None
+    text = json.dumps(children, sort_keys=True)
+    filled = sum(map(bool, children))
+    if text.count(", ") != sum(map(len, children)) - filled + len(children) - 1:
+        return None
+    item = indent + " "
+    head, tail = f"{opening}\n{item}", f"\n{indent}{closing}"
+    body = text[2:-2].replace(f"{closing}, {opening}", "\0").replace(", ", ",\n" + item)
+    body = head + body.replace("\0", tail + "\0" + head) + tail
+    if filled < len(children):
+        body = body.replace(head + tail, opening + closing)
+    return body.split("\0")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: a str, or a number, bool or None as text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_chunks(fh, chunks: list[bytes]) -> None:
+    """Write ``chunks`` in order to the binary file ``fh``."""
+    if not hasattr(os, "writev"):  # POSIX only
+        fh.writelines(chunks)
+        return
+    pending = [chunk for chunk in chunks if len(chunk)]  # so every write advances
+    fd, start = fh.fileno(), 0
+    while start < len(pending):
+        written = os.writev(fd, pending[start:start + _IOV_MAX])
+        if written <= 0:
+            raise OSError(f"os.writev wrote {written} bytes")
+        while written:
+            size = len(pending[start])
+            if written < size:  # a short write: resume inside this chunk
+                pending[start] = memoryview(pending[start])[written:]
+                break
+            written -= size
+            start += 1
 
 
 def read_json(path) -> dict:
@@ -401,6 +595,10 @@ def read_number(value, field: str, path) -> float:
 def load(path) -> InformationFlowGraph:
     """Read a graph file; ids collapse and sort as in ``make_graph``.
 
+    The checks and the collapse run as C-level passes over each field (type
+    sets, ``map``), and a list that already ascends strictly, as in every
+    file ``save`` writes, is not sorted again.
+
     Raises ParseError, naming the field and ``path``, for malformed JSON, a
     missing field, a value of the wrong kind, or, in a file marked augmented,
     source edges that do not go to exactly the entry set.
@@ -411,27 +609,40 @@ def load(path) -> InformationFlowGraph:
         return field in raw and need(raw, field, bool, path)
 
     nodes = need(raw, "nodes", list, path)
-    if not all(isinstance(rec, dict) and "id" in rec for rec in nodes):
+    if not (set(map(type, nodes)) <= {dict} and all(map(dict.__contains__, nodes, repeat("id")))):
         raise ParseError("each node record needs an 'id'", field="nodes", path=path)
     n = len(nodes)
-    if sorted(read_ids([rec["id"] for rec in nodes], "nodes.id", path)) != list(range(1, n + 1)):
-        raise ParseError("node ids must be exactly 1..n", field="nodes.id", path=path)
-    nodes = sorted(nodes, key=lambda rec: rec["id"])
-    labels = [rec.get("label", f"s{i}") for i, rec in enumerate(nodes, start=1)]
-    if not all(isinstance(label, str) for label in labels):
+    ids = read_ids(list(map(itemgetter("id"), nodes)), "nodes.id", path)
+    if ids != list(range(1, n + 1)):
+        if sorted(ids) != list(range(1, n + 1)):
+            raise ParseError("node ids must be exactly 1..n", field="nodes.id", path=path)
+        nodes = sorted(nodes, key=itemgetter("id"))
+    if all(map(dict.__contains__, nodes, repeat("label"))):
+        labels = list(map(itemgetter("label"), nodes))
+    else:
+        labels = [rec.get("label", f"s{i}") for i, rec in enumerate(nodes, start=1)]
+    if not set(map(type, labels)) <= {str}:
         raise ParseError("node labels must be strings", field="nodes.label", path=path)
-    traffic = [read_number(rec.get("traffic", 0.0), "nodes.traffic", path) for rec in nodes]
+    traffic = list(map(dict.get, nodes, repeat("traffic"), repeat(0.0)))
+    if not set(map(type, traffic)) <= {float}:
+        traffic = [read_number(b, "nodes.traffic", path) for b in traffic]
 
     pairs = need(raw, "edges", list, path)
-    if not all(isinstance(item, list) and len(item) == 2 for item in pairs):
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ParseError("expected a list of [u, v] pairs", field="edges", path=path)
-    ends = read_ids([v for item in pairs for v in item], "edges", path)
-    edges = zip(ends[::2], ends[1::2])
+    read_ids(list(chain.from_iterable(pairs)), "edges", path)
+    edges = list(map(tuple, pairs))
 
     relevance = None
     if "rule_relevance" in raw:
-        relevance = {read_key(i, "rule_relevance", path): read_ids(rules, "rule_relevance", path)
-                     for i, rules in need(raw, "rule_relevance", dict, path).items()}
+        table = need(raw, "rule_relevance", dict, path)
+        keys, rules = "".join(table), list(table.values())
+        if (all(table) and keys.isascii() and keys.isdecimal() and set(map(type, rules)) <= {list}
+                and set(map(type, chain.from_iterable(rules))) <= {int}):
+            relevance = dict(zip(map(int, table), rules))
+        else:  # the first bad entry raises
+            relevance = {read_key(i, "rule_relevance", path): read_ids(r, "rule_relevance", path)
+                         for i, r in table.items()}
         if not relevance.keys() <= set(range(1, n + 1)):
             raise ParseError("rule_relevance keys must be node ids 1..n", field="rule_relevance",
                              path=path)

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import shutil
 import sys
 
 import numpy as np
@@ -434,6 +436,88 @@ def test_cli_out_dir_naming_a_file_fails_with_stage(tmp_path, capsys):
                     "--dest-per-stage", "1", "--out-dir", not_a_dir])
     assert code == 1
     assert capsys.readouterr().err.startswith("error [write]")
+
+
+@pytest.mark.parametrize("command", ["gen-graph", "solve-single"])
+def test_cli_result_path_naming_a_directory_fails_with_stage(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "gen-graph":
+        (out / "g.json").mkdir(parents=True)
+        argv = ["gen-graph", "--nodes", 5, "--stages", 1, "--dest-per-stage", "1", "--name", "g.json"]
+    else:
+        assert run_cli(["gen-graph", "--nodes", 7, "--stages", 1, "--seed", 9, "--out-dir", tmp_path]) == 0
+        (out / "defender.json").mkdir(parents=True)
+        argv = ["solve-single", tmp_path / "graph.json"]
+    capsys.readouterr()
+    assert run_cli([*argv, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.startswith("error [write]")
+
+
+def test_cli_short_writes_still_write_every_byte(tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    assert run_cli(["gen-graph", "--nodes", 12, "--stages", 1, "--dest-per-stage", 2,
+                    "--entries", 2, "--density", 0.15, "--seed", 9, "--out-dir", gen]) == 0
+    argv = ["solve-single", gen / "graph.json"]
+    assert run_cli([*argv, "--out-dir", tmp_path / "whole"]) == 0
+    writev, calls = os.writev, []
+
+    def short_writev(fd, buffers):
+        """Write about half of the first buffer only."""
+        first = bytes(buffers[0])
+        calls.append(len(buffers))
+        return writev(fd, [first[:len(first) // 2 + 1]])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    assert run_cli([*argv, "--out-dir", tmp_path / "short"]) == 0
+    assert calls and max(calls) > 1  # some call was offered several buffers and wrote part of one
+    for name in ("defender.json", "adversary_mixture.json", "manifest.json"):
+        whole = (tmp_path / "whole" / name).read_bytes()
+        assert whole and (tmp_path / "short" / name).read_bytes() == whole
+
+
+def test_cli_parser_reuse_carries_no_option_values(tmp_path):
+    graph = tmp_path / "calls" / "0" / "graph.json"
+    strategies = tmp_path / "strategies"
+    calls = [
+        ["gen-graph", "--nodes", 9, "--stages", 2, "--dest-per-stage", "1,1", "--seed", 4],
+        ["gen-graph", "--nodes", 9, "--stages", 1],
+        ["gen-graph", "--nodes", 9, "--stages", 1, "--density", "x"],
+        ["gen-graph", "--nodes", 7, "--stages", 1, "--entries", 2],
+        ["simulate", graph, "--defender", strategies / "defender.json",
+         "--adversary", strategies / "adversary.json", "--n-trials", 50, "--seed", 3],
+        ["simulate", graph, "--defender", strategies / "defender.json",
+         "--adversary", strategies / "adversary.json", "--n-trials", 0],
+        ["simulate", graph, "--defender", strategies / "defender.json",
+         "--adversary", strategies / "adversary.json", "--n-trials", 20],
+    ]
+
+    def run_all(fresh):
+        results = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / "calls" / str(i)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = run_cli([*argv, "--out-dir", out])
+                except SystemExit as exc:  # a usage error
+                    code = exc.code
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
+            results.append((code, stdout.getvalue(), stderr.getvalue(), files))
+            if i == 0:
+                g = ifg.load(graph)
+                strategies.mkdir(exist_ok=True)
+                game.save_defender(game.DefenderStrategy.full(g, 0.3), strategies / "defender.json")
+                game.save_adversary(game.AdversaryStrategy.uniform(g), strategies / "adversary.json")
+        shutil.rmtree(tmp_path / "calls")
+        return results
+
+    cli._parser.cache_clear()
+    reused = run_all(fresh=False)
+    fresh = run_all(fresh=True)
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 2, 0]
+    assert reused == fresh
 
 
 def test_cli_monte_carlo_outputs_are_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -8,7 +9,8 @@ import pytest
 from diftgame import game, generate, ifg
 from diftgame.errors import ParseError, ValidationError
 
-from conftest import oracle_entry_reachability, oracle_gen_edges, oracle_strong_components
+from conftest import (grid_graph, oracle_entry_reachability, oracle_gen_edges,
+                      oracle_strong_components)
 
 
 def chain(n=3, stages=((3,),), vulnerable=(1,)):
@@ -125,6 +127,48 @@ def _augmented_copy(graph, path, source_edges):
     path.write_text(json.dumps(raw))
 
 
+def test_saved_graphs_load_back_equal(tmp_path, rng):
+    graphs = {
+        "generated": generate.gen_graph(40, 3, (2, 1, 2), 2, 0.1, seed=5),
+        "generated-single": generate.gen_graph(30, 1, 2, 3, 0.05, seed=2),
+        "grid30": grid_graph(30, rng),
+        "chain1000": ifg.make_graph(1000, [(i, i + 1) for i in range(1, 1000)], [[1000]], [1],
+                                    traffic=rng.uniform(10, 40, 1000).tolist(),
+                                    rule_relevance={}, fractional_traffic=False),
+        "default-relevance": ifg.make_graph(6, [(1, 2), (2, 3), (3, 6), (1, 4), (4, 5)],
+                                            [[3], [6]], [1]),
+    }
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.json"
+        ifg.save(g, path)
+        assert ifg.load(path) == g, name
+        raw = json.loads(path.read_text())
+        del raw["rule_relevance"]  # a file without the field makes every rule relevant
+        path.write_text(json.dumps(raw))
+        assert ifg.load(path) == dataclasses.replace(g, rule_relevance=(tuple(range(1, g.n + 1)),) * g.n)
+
+
+def test_load_of_unsorted_duplicate_lists_equals_make_graph(tmp_path):
+    edges = [[3, 4], [1, 2], [3, 4], [2, 3], [1, 3], [2, 3]]
+    stages = [[4, 3, 4], [2, 4]]
+    vulnerable = [2, 1, 2]
+    relevance = {"3": [2, 1, 2], "1": [4, 1], "4": [], "2": [3, 3]}
+    nodes = [{"id": i, "label": f"n{i}", "traffic": 0.25} for i in (3, 1, 4, 2)]
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges, "stages": stages,
+                                "vulnerable": vulnerable, "rule_relevance": relevance,
+                                "fractional_traffic": True}))
+    expected = ifg.make_graph(4, edges, stages, vulnerable, traffic=[0.25] * 4,
+                              labels=["n1", "n2", "n3", "n4"],
+                              rule_relevance={int(k): v for k, v in relevance.items()},
+                              fractional_traffic=True)
+    loaded = ifg.load(path)
+    assert loaded == expected
+    assert loaded.edges == ((1, 2), (1, 3), (2, 3), (3, 4))
+    assert loaded.stages == ((3, 4), (2, 4)) and loaded.vulnerable == (1, 2)
+    assert loaded.rule_relevance == ((1, 4), (3,), (1, 2), ())
+
+
 def test_load_augmented_file_equals_plain_graph(tmp_path):
     g = ifg.make_graph(4, [(1, 3), (2, 3), (3, 4)], [[4]], [1, 2])
     path = tmp_path / "aug.json"
@@ -239,6 +283,60 @@ def _writer_payloads(rng):
         },
         {},
         {"only": "scalar"},
+        *_fast_path_payloads(rng),
+    ]
+
+
+def _fast_path_payloads(rng):
+    """Payloads that reach each fast path of the writer, or one of its fallbacks."""
+    sparse = np.zeros((6, 40))
+    sparse[1, [0, 7, 39]] = [-0.0, np.nan, 5e-324]
+    sparse[2, [3, 4]] = [np.inf, -np.inf]
+    sparse[3] = -0.0  # live in every cell, though each equals 0.0
+    sparse[4] = rng.random(40)  # fully dense
+    sparse[5, 12] = 2.5
+    finite = np.where(rng.random((8, 30)) < 0.1, rng.random((8, 30)), 0.0)
+    finite[2] = rng.random(30)
+    separators = ['a, "b', "], [", "}, {", 'q\\"', "\u00fc, ", ", ", "x, ", ": ", "\u2603"]
+    return [
+        {"sparse": sparse, "finite sparse": finite},
+        {
+            "int matrix": np.arange(12).reshape(3, 4) * (np.arange(4) % 2),
+            "uint8 matrix": np.array([[0, 255], [0, 0]], dtype=np.uint8),
+            "float32 matrix": np.array([[0.1, 0.0], [0.0, -0.0]], dtype=np.float32),
+            "bool matrix": np.array([[True, False]]),
+            "zero rows": np.zeros((0, 3), dtype=int),
+            "zero width": np.zeros((2, 0), dtype=int),
+            "empty": np.zeros((0, 0)),
+            "vector": np.array([1.5, -0.0, 3.0]),
+            "scalar array": np.array(2.5),
+        },
+        {
+            "strings": separators,
+            "string dict": {s: s for s in separators},
+            "safe strings": ["graph.json", "defender.json"],
+            "keys": {'k, "': 1, "], [": [1, 2], "}, {": {"a": 1}, "\u043a, ": None},
+            "number lists": [[1, 2.5], [], [True, None, -0.0]],
+            "one empty list": [[]],
+            "lists with strings": [["a", 1], ["b, ", 2]],
+            "flat dicts": [{"b": 1, "a": "x"}, {}, {"c": 2.0, "d": None, "e": True}],
+            "flat dicts with separators": [{"k, ": "v"}, {"a": "b, "}, {"c": "}, {"}],
+            "dict of lists": {"2": [1, 3], "10": [], "1": [2]},
+            "dict of dicts": {"0": {"1": {"2": 0.5, "drop": 0.5}}, "1": {}, "2": {"x": {}}},
+            "mixed": [1, 2.5, True, False, None, 2 ** 70, -(2 ** 70), "s", np.float64(1 / 3)],
+            "np floats": [np.float64(0.1), np.float64(-0.0)],
+            "np dict": {"x": np.float64(1 / 3), "y": [np.float64(2.0)]},
+            "tuples": (3, (1, 2), ()),
+            "tuple of tuples": ((1, 2), (3, 4)),
+            "nested arrays": [np.array([1, 2]), {"m": np.eye(2)}],
+            "deep": [[[1, [2]], {"a": [{"b": [3]}]}]],
+            "floats": [float("nan"), float("inf"), -float("inf"), 1e16, 1.5e-7, 5e-324],
+        },
+        {2: "a", 10: "b", -1: "c"},
+        {None: [1, 2]},
+        {True: {"a": 1}, False: [0]},
+        {1.5: "x", 0.25: "y", float("inf"): "z"},
+        {"outer": {3: [1], 20: {"k": 2}}},
     ]
 
 
@@ -247,6 +345,15 @@ def test_write_json_matches_json_dump_bytes(tmp_path, rng):
         path = tmp_path / f"p{i}.json"
         ifg.write_json(payload, path)
         assert path.read_bytes() == _json_dump_text(payload).encode("utf-8"), i
+
+
+@pytest.mark.parametrize("payload", [{"x": object()}, {"x": [np.int64(1)]}, {(1, 2): 0}],
+                         ids=["object", "numpy-int", "tuple-key"])
+def test_write_json_rejects_what_json_rejects(tmp_path, payload):
+    with pytest.raises(TypeError):
+        _json_dump_text(payload)
+    with pytest.raises(TypeError):
+        ifg.write_json(payload, tmp_path / "p.json")
 
 
 def test_save_defender_round_trip_is_exact(tmp_path, rng):
@@ -263,6 +370,14 @@ def test_save_defender_round_trip_is_exact(tmp_path, rng):
         assert loaded.probs.tobytes() == strategy.probs.tobytes()
         assert path.read_text(encoding="utf-8") == _json_dump_text(
             {"kind": "defender", "n": strategy.n, "probs": strategy.probs})
+
+
+def test_load_defender_with_integer_probabilities(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"kind": "defender", "n": 1, "probs": [[0, 0, 0], [1, 0.5, 0]]}))
+    loaded = game.load_strategy(path)
+    assert loaded.probs.dtype == float
+    assert loaded.probs.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]]
 
 
 @pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
@@ -309,6 +424,20 @@ def test_export_dot_deterministic():
 def test_relevance_defaults_to_all_rules():
     g = ifg.make_graph(3, [(1, 2)], [[2]], [1])
     assert g.relevance(2) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 3)], [(1,)], [(1, 2), np.array([2, 3, 1])]],
+                         ids=["triple", "single", "numpy-triple"])
+def test_make_graph_rejects_edges_that_are_not_pairs(edges):
+    with pytest.raises(ValidationError):
+        ifg.make_graph(3, edges, [[3]], [1])
+
+
+def test_make_graph_converts_edge_ends_to_int():
+    g = ifg.make_graph(3, [np.array([2, 3]), (1.0, 2), (True, 3)], [[np.int64(3)]], [np.int64(1)])
+    assert g.edges == ((1, 2), (1, 3), (2, 3))
+    assert all(type(v) is int for v in (*itertools.chain.from_iterable(g.edges), *g.stages[0],
+                                        *g.vulnerable))
 
 
 def test_entry_reachability_includes_entry_itself():
