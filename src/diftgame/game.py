@@ -11,7 +11,9 @@ how the cells sit in the stored (n+1) x (n+2) defender matrix:
 prices the cells in the same order; other modules see per-cell vectors only.
 The adversary picks, per (node, stage), a distribution
 over out-neighbors plus a drop action; arriving at a stage-j destination
-while in stage j forces the stage to advance.
+while in stage j forces the stage to advance, as ``graph.landing`` records.
+The chain and the Monte Carlo kernel read one compile of the adversary's
+moves over the (node, stage) codes of that table, ``_MoveTable``.
 
 These evaluators share these semantics:
 
@@ -359,31 +361,22 @@ class AdversaryStrategy:
 
     @staticmethod
     def decision_states(graph: InformationFlowGraph) -> list[tuple[int, int]]:
-        states = [(SOURCE, 1)]
-        for v in range(1, graph.n + 1):
-            for j in range(1, graph.n_stages + 1):
-                if graph.advance(v, j) == j:
-                    states.append((v, j))
-        return states
+        """(s0, 1), then the states of nodes 1..n that an arrival lands in, by code."""
+        m = graph.n_stages
+        codes = np.flatnonzero(graph.landing == np.arange(graph.landing.size))
+        return [(SOURCE, 1)] + [(c // m, c % m + 1) for c in codes[codes >= m].tolist()]
 
     @classmethod
     def uniform(cls, graph: InformationFlowGraph) -> "AdversaryStrategy":
         succ = graph.successors
-        moves = {}
-        for v, j in cls.decision_states(graph):
-            actions = list(succ.get(v, ())) + [DROP]
-            moves[(v, j)] = {a: 1.0 / len(actions) for a in actions}
-        return cls(moves)
+        return cls({(v, j): dict.fromkeys(succ[v] + (DROP,), 1.0 / (len(succ[v]) + 1))
+                    for v, j in cls.decision_states(graph)})
 
     @classmethod
     def random(cls, graph: InformationFlowGraph, rng: np.random.Generator) -> "AdversaryStrategy":
         succ = graph.successors
-        moves = {}
-        for v, j in cls.decision_states(graph):
-            actions = list(succ.get(v, ())) + [DROP]
-            w = rng.dirichlet(np.ones(len(actions)))
-            moves[(v, j)] = {a: float(p) for a, p in zip(actions, w)}
-        return cls(moves)
+        return cls({(v, j): dict(zip(succ[v] + (DROP,), rng.dirichlet(np.ones(len(succ[v]) + 1))))
+                    for v, j in cls.decision_states(graph)})
 
     @classmethod
     def pure_walk(cls, graph: InformationFlowGraph, walk) -> "AdversaryStrategy":
@@ -393,9 +386,7 @@ class AdversaryStrategy:
         completes included, although those steps set no move.
         """
         walk = check_walk(graph, walk)
-        moves = {}
-        for v, j in cls.decision_states(graph):
-            moves[(v, j)] = {DROP: 1.0}
+        moves = {state: {DROP: 1.0} for state in cls.decision_states(graph)}
         stage = 1
         for u, v in zip(walk, walk[1:]):
             moves[(u, stage)] = {v: 1.0}
@@ -745,55 +736,52 @@ class AbsorbingChain:
     """
 
     def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
-        adversary.validate(graph)
+        table = _MoveTable(graph, adversary)
         self.graph = graph
-        m = graph.n_stages
-        self.states = [(SOURCE, 1)]
-        index = {self.states[0]: 0}
-        frm, target, stage, new_stage, to, prob = [], [], [], [], [], []
-        succ: list[list[int]] = []  # state -> states it moves to
-        leaks: list[bool] = []  # state drops or completes with positive probability
-        k = 0
-        while k < len(self.states):
-            v, j = self.states[k]
-            succ.append([])
-            leaks.append(False)
-            for a, p in sorted(adversary.distribution(v, j).items()):
-                if p <= 0.0:
-                    continue
-                if a == DROP:
-                    leaks[k] = True
-                    continue
-                nxt = graph.advance(a, j)
-                if nxt > m:
-                    leaks[k] = True
-                    to.append(-1)
-                else:
-                    if (a, nxt) not in index:
-                        index[(a, nxt)] = len(self.states)
-                        self.states.append((a, nxt))
-                    to.append(index[(a, nxt)])
-                    succ[k].append(to[-1])
-                frm.append(k)
-                target.append(a)
-                stage.append(j)
-                new_stage.append(nxt)
-                prob.append(p)
-            k += 1
-        self._from = np.array(frm, dtype=np.intp)
-        self._target = np.array(target, dtype=np.intp)
+        m, width = graph.n_stages, table.width
+        # breadth-first from (s0, 1) along the positive-probability moves: states
+        # in discovery order, each state's moves in ascending action order
+        position = np.full(table.known.size, -1)  # code -> state number
+        position[0] = 0
+        levels = [np.zeros(1, dtype=np.intp)]
+        chosen = []  # the moves out of each level
+        k = 1
+        while levels[-1].size:
+            missing = levels[-1][~table.known[levels[-1]]]
+            if missing.size:
+                raise _no_distribution(missing[0], m)
+            moves = (levels[-1][:, None] * width + np.arange(width)).ravel()
+            moves = moves[table.prob[moves] > 0.0]
+            chosen.append(moves)
+            lands = table.next_code[moves]
+            lands = lands[lands >= 0]
+            lands = lands[position[lands] < 0]
+            levels.append(lands[np.sort(np.unique(lands, return_index=True)[1])])
+            position[levels[-1]] = np.arange(k, k + levels[-1].size)
+            k += levels[-1].size
+        self.states = [(c // m, c % m + 1) for c in np.concatenate(levels).tolist()]
+        moves = np.concatenate(chosen)
+        # a state leaks when it drops or completes with positive probability
+        leaks = np.bincount(position[moves[table.next_code[moves] < 0] // width], minlength=k) > 0
+        moves = moves[table.target[moves] != DROP]
+        self._from = position[moves // width]
+        nxt = table.next_code[moves]
+        self._target = table.target[moves]
         self._distinct_targets = np.unique(self._target)
         self._solved: dict[bytes, tuple[tuple[float, ...], tuple[float, ...]]] = {}
         self.solves = 0
-        self._stage_index = np.array(stage, dtype=np.intp) - 1
-        self._prob = np.array(prob, dtype=float)
-        to_arr = np.array(to, dtype=np.intp)
-        self._inner = to_arr >= 0
+        self._stage_index = table.from_stage[moves] - 1
+        self._prob = table.prob[moves]
+        self._inner = nxt >= 0
+        to = position[nxt[self._inner]]
         # entry (to, from) of (I - Q)^T, in row-major flat order
-        self._flat = to_arr[self._inner] * k + self._from[self._inner]
-        levels = np.arange(1, m + 1)
-        crossed = (levels >= self._stage_index[:, None] + 1) & (levels < np.array(new_stage)[:, None])
-        self._crossings = crossed.astype(float)
+        self._flat = to * k + self._from[self._inner]
+        stages = np.arange(1, m + 1)
+        self._crossings = ((stages > self._stage_index[:, None])
+                           & (stages < table.to_stage[moves][:, None])).astype(float)
+        succ: list[list[int]] = [[] for _ in range(k)]  # state -> states it moves to
+        for v, w in zip(self._from[self._inner].tolist(), to.tolist()):
+            succ[v].append(w)
         comp = strong_components(succ, range(k))
         left = {c for v, c in enumerate(comp) if leaks[v] or any(comp[w] != c for w in succ[v])}
         classes: dict[int, list[int]] = {}
@@ -866,58 +854,82 @@ def evaluate_exact(
 _GUIDE_BUCKETS = 256  # a power of two, so u * B and its floor are exact
 
 
-def _move_tables(graph: InformationFlowGraph, adversary: AdversaryStrategy):
-    """Padded per-state action tables and a guide table over [0, 1).
+class _MoveTable:
+    """The one compile of an adversary that ``AbsorbingChain`` and
+    ``evaluate_monte_carlo`` read.
 
-    State (v, j) has code ``v * m + (j - 1)`` and owns the moves
-    ``code * width + col``, one per action in ascending id order (``DROP``
-    first), padded with ``DROP``.  ``cum`` holds the cumulative action
-    probabilities per move, the last bound of each state (and the padding)
-    at ``inf``, so that the last action takes every draw past the
-    second-to-last bound, including draws that rounding leaves above the
-    total.  The move for a draw u is the first whose bound exceeds u, the
-    one ``searchsorted(bounds, u, side="right")`` names.
-
-    ``guide[code * B + b]`` is the indexed search of Chen & Asau (1974) over
-    the B buckets [b/B, (b+1)/B): the move that every draw in the bucket
-    picks, or ``-1 - move`` when a bound lies inside the bucket, naming the
-    first move whose bound lies above b/B; from there, the draw settles by
-    comparison.  Returns ``(known, width, target, cum, guide)``, where
-    ``known`` flags the codes that have a distribution and ``target`` is the
-    action of each move; the arrays are flat.  Raises ValidationError
-    unless ``adversary.validate`` passes.
+    State (v, j) has the code ``v * m + (j - 1)`` of ``graph.landing`` and
+    owns the moves ``code * width + col``, one per action in ascending id
+    order (``DROP`` first), padded with ``DROP`` at probability 0; ``known``
+    flags the codes that have a distribution.  Per move, the flat arrays
+    hold the action (``target``), its probability (``prob``), the stage it
+    leaves (``from_stage``), the state ``graph.landing`` lands it in
+    (``next_code``: -1 completes the attack, -2 drops) and the stage in
+    effect there (``to_stage``: n_stages + 1 once the attack completes).
+    ``cum`` holds the cumulative action probabilities, the last bound of each
+    state (and the padding) at ``inf``, so that the last action takes every
+    draw past the second-to-last bound, including draws that rounding leaves
+    above the total: a draw u picks the first move whose bound exceeds u.
+    Raises ValidationError unless ``adversary.validate`` passes and (s0, 1)
+    has a distribution.
     """
-    adversary.validate(graph)
-    n, m = graph.n, graph.n_stages
-    rows, cols, acts, probs = [], [], [], []
-    for (v, j), dist in adversary.moves.items():
-        for col, (a, p) in enumerate(sorted(dist.items())):
-            rows.append(v * m + j - 1)
-            cols.append(col)
-            acts.append(a)
-            probs.append(p)
-    n_codes = (n + 1) * m
-    width = max(cols, default=0) + 1
-    counts = np.bincount(rows, minlength=n_codes)
-    target = np.full((n_codes, width), DROP, dtype=np.intp)
-    target[rows, cols] = acts
-    prob = np.zeros((n_codes, width))
-    prob[rows, cols] = probs
-    cum = np.cumsum(prob, axis=1)
-    cum[np.arange(width) >= counts[:, None] - 1] = np.inf
 
-    B = _GUIDE_BUCKETS
-    x = cum * B
-    # bound x lies at or below every draw of bucket b iff ceil(x) <= b
-    first = np.where(x <= B, np.ceil(np.maximum(x, 0.0)), B).astype(np.intp)
-    below = np.bincount((np.arange(n_codes)[:, None] * (B + 1) + first).ravel(),
-                        minlength=n_codes * (B + 1)).reshape(n_codes, B + 1)
-    guide = np.cumsum(below, axis=1)[:, :B] + (np.arange(n_codes) * width)[:, None]
-    inside = (x > 0.0) & (x < B) & (x != np.floor(x))
-    code_of, col_of = np.nonzero(inside)
-    bucket = np.floor(x[code_of, col_of]).astype(np.intp)
-    guide[code_of, bucket] = -1 - guide[code_of, bucket]
-    return counts > 0, width, target.ravel(), cum.ravel(), guide.ravel()
+    def __init__(self, graph: InformationFlowGraph, adversary: AdversaryStrategy):
+        adversary.validate(graph)
+        if (SOURCE, 1) not in adversary.moves:
+            raise ValidationError("adversary strategy has no distribution for node 0 at stage 1")
+        m, dists = graph.n_stages, adversary.moves.values()
+        rows = np.repeat([v * m + j - 1 for v, j in adversary.moves], list(map(len, dists)))
+        acts = np.fromiter(itertools.chain.from_iterable(dists), np.intp, rows.size)
+        probs = np.fromiter(itertools.chain.from_iterable(map(dict.values, dists)), float, rows.size)
+        order = np.lexsort((acts, rows))  # by code, then ascending action
+        rows, acts, probs = rows[order], acts[order], probs[order]
+        cols = np.arange(rows.size) - np.searchsorted(rows, rows)
+        n_codes = (graph.n + 1) * m
+        self.width = width = int(cols.max()) + 1
+        counts = np.bincount(rows, minlength=n_codes)
+        self.known = counts > 0
+        target = np.full((n_codes, width), DROP, dtype=np.intp)
+        target[rows, cols] = acts
+        prob = np.zeros((n_codes, width))
+        prob[rows, cols] = probs
+        cum = np.cumsum(prob, axis=1)
+        cum[np.arange(width) >= counts[:, None] - 1] = np.inf
+        self.target, self.prob, self.cum = target.ravel(), prob.ravel(), cum.ravel()
+
+        self.from_stage = np.repeat(np.arange(n_codes) % m + 1, width)
+        walking = self.target != DROP
+        self.next_code = np.full(self.target.size, -2)
+        self.next_code[walking] = graph.landing[
+            self.target[walking] * m + self.from_stage[walking] - 1]
+        self.to_stage = np.where(self.next_code >= 0, self.next_code % m + 1,
+                                 np.where(walking, m + 1, self.from_stage))
+
+    def guide(self) -> np.ndarray:
+        """The indexed search of Chen & Asau (1974) over B buckets [b/B, (b+1)/B).
+
+        ``guide[code * B + b]`` is the move that every draw in the bucket
+        picks, or ``-1 - move`` when a bound lies inside the bucket, naming
+        the first move whose bound lies above b/B; from there, the draw
+        settles by comparison.
+        """
+        n_codes, width, B = self.known.size, self.width, _GUIDE_BUCKETS
+        x = self.cum.reshape(n_codes, width) * B
+        # bound x lies at or below every draw of bucket b iff ceil(x) <= b
+        first = np.where(x <= B, np.ceil(np.maximum(x, 0.0)), B).astype(np.intp)
+        below = np.bincount((np.arange(n_codes)[:, None] * (B + 1) + first).ravel(),
+                            minlength=n_codes * (B + 1)).reshape(n_codes, B + 1)
+        guide = np.cumsum(below, axis=1)[:, :B] + (np.arange(n_codes) * width)[:, None]
+        inside = (x > 0.0) & (x < B) & (x != np.floor(x))
+        code_of, col_of = np.nonzero(inside)
+        bucket = np.floor(x[code_of, col_of]).astype(np.intp)
+        guide[code_of, bucket] = -1 - guide[code_of, bucket]
+        return guide.ravel()
+
+
+def _no_distribution(code: int, m: int) -> ValidationError:
+    v, j = divmod(int(code), m)
+    return ValidationError(f"adversary strategy has no distribution for node {v} at stage {j + 1}")
 
 
 def evaluate_monte_carlo(
@@ -949,17 +961,12 @@ def evaluate_monte_carlo(
     n = graph.n
     rng = np.random.default_rng(seed)
     d = defender.detection_vector(graph)
-    known, width, target, cum, guide = _move_tables(graph, adversary)
+    table = _MoveTable(graph, adversary)
+    guide, from_stage, to_stage = table.guide(), table.from_stage, table.to_stage
 
     sort_key = np.uint16 if (n + 1) * m <= 1 << 16 else np.int64  # numpy radix-sorts 16-bit keys
-    # per move: the stage it leaves and the stage it reaches, and the next
-    # state's code, -1 for a drop and -2 for a completed attack
-    from_stage = np.repeat(np.arange(known.size) % m + 1, width)
-    dropping = target == DROP
-    to_stage = np.where(dropping, from_stage, graph.advance_table[target, from_stage])
-    next_code = np.where(dropping, -1, np.where(to_stage > m, -2, target * m + to_stage - 1))
     shifts = to_stage != from_stage
-    detect = d[target]
+    detect = d[table.target]
     ba_prefix = np.concatenate(([0.0], np.cumsum(params.beta_a)))
     bd_prefix = np.concatenate(([0.0], np.cumsum(params.beta_d)))
 
@@ -977,12 +984,9 @@ def evaluate_monte_carlo(
     for _ in range(max_len):
         if ids.size == 0:
             break
-        missing = ~known[code]
+        missing = ~table.known[code]
         if missing.any():
-            v, j = divmod(int(code[missing].min()), m)
-            raise ValidationError(
-                f"adversary strategy has no distribution for node {v} at stage {j + 1}"
-            )
+            raise _no_distribution(code[missing].min(), m)
         order = np.argsort(code.astype(sort_key), kind="stable")
         u = np.empty(ids.size)
         u[order] = rng.random(ids.size)
@@ -990,11 +994,11 @@ def evaluate_monte_carlo(
         tied = np.flatnonzero(move < 0)
         if tied.size:
             at, u_tied = -1 - move[tied], u[tied]
-            while (up := cum[at] <= u_tied).any():
+            while (up := table.cum[at] <= u_tied).any():
                 at += up
             move[tied] = at
 
-        moving = next_code[move] != -1
+        moving = table.next_code[move] != -2
         # code % m is the number of stages a trial has crossed
         dropped_after += np.bincount(code[~moving] % m, minlength=m + 1)
         ids, move = ids[moving], move[moving]
@@ -1009,7 +1013,7 @@ def evaluate_monte_carlo(
             kept = ~caught
             ids, move = ids[kept], move[kept]
 
-        code = next_code[move]
+        code = table.next_code[move]
         # a move that keeps the stage adds exact zeros to the payoffs and a
         # cancelling +1/-1 pair to pr_diff, so only stage changes are booked
         changed = np.flatnonzero(shifts[move])

@@ -94,15 +94,6 @@ class InformationFlowGraph:
                 raise ValidationError(f"entry node {v} is not a real node")
 
     @cached_property
-    def stage_membership(self) -> dict[int, tuple[int, ...]]:
-        """Node id -> sorted stage indices (1-based) whose destination set contains it."""
-        member: dict[int, list[int]] = {}
-        for j, dest in enumerate(self.stages, start=1):
-            for d in dest:
-                member.setdefault(d, []).append(j)
-        return {d: tuple(js) for d, js in member.items()}
-
-    @cached_property
     def defender_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Every defender cell of the real nodes, as (node, column) arrays.
 
@@ -126,16 +117,26 @@ class InformationFlowGraph:
         return nodes, columns
 
     @cached_property
-    def advance_table(self) -> np.ndarray:
-        """``advance(v, j)`` at row v, column j, for node ids 0..n and stages 1..M.
+    def landing(self) -> np.ndarray:
+        """Per state code, the code of the state that an arrival there lands in.
 
-        Column 0 is unused and holds 0.
+        State (v, j), node v in 0..n and stage j in 1..M, has code
+        ``v * M + j - 1``.  An arrival at a stage-j destination in stage j
+        advances the stage, cascading when destination sets overlap; -1 marks
+        an arrival that completes stage M.  One backward pass over the stages
+        builds the table.  Raises ValidationError for a destination outside 1..n.
         """
+        bad = [(j, d) for j, ds in enumerate(self.stages, 1) for d in ds if not 1 <= d <= self.n]
+        if bad:
+            raise ValidationError("stage {} destination {} is not a real node".format(*bad[0]))
         m = self.n_stages
-        table = np.zeros((self.n + 1, m + 1), dtype=np.int64)
-        for v in range(self.n + 1):
-            for j in range(1, m + 1):
-                table[v, j] = self.advance(v, j)
+        table = np.arange((self.n + 1) * m).reshape(self.n + 1, m)
+        after = np.full(self.n + 1, -1)  # landings in stage j + 1; -1 past stage M
+        for j in range(m, 0, -1):
+            dest = list(self.stages[j - 1])
+            table[dest, j - 1] = after[dest]
+            after = table[:, j - 1]
+        table = table.ravel()
         table.setflags(write=False)
         return table
 
@@ -146,17 +147,16 @@ class InformationFlowGraph:
         return self.rule_relevance[node - 1]
 
     def advance(self, node: int, stage: int) -> int:
-        """Stage in effect after all forced destination crossings at ``node``.
-
-        Arriving at a stage-j destination while in stage j advances to j+1,
-        cascading when destination sets overlap.  Returns n_stages + 1 when
-        every stage has been completed.
-        """
+        """Stage in effect after all forced destination crossings at ``node``,
+        read from ``landing``; n_stages + 1 once every stage is completed.
+        Raises ValidationError for a node outside 0..n or a stage outside
+        1..n_stages + 1."""
         m = self.n_stages
-        js = self.stage_membership.get(node, ())
-        while stage <= m and stage in js:
-            stage += 1
-        return stage
+        if not (0 <= node <= self.n and 1 <= stage <= m + 1):
+            raise ValidationError(f"state ({node}, {stage}) lies outside nodes 0..{self.n} "
+                                  f"and stages 1..{m + 1}")
+        code = int(self.landing[node * m + stage - 1]) if stage <= m else -1
+        return code % m + 1 if code >= 0 else m + 1
 
 
 def make_graph(
@@ -667,7 +667,7 @@ def export_dot(graph: InformationFlowGraph) -> str:
     entries = set(graph.vulnerable)
     for i in range(1, graph.n + 1):
         label = graph.labels[i - 1]
-        js = graph.stage_membership.get(i, ())
+        js = [j for j, dest in enumerate(graph.stages, start=1) if i in dest]
         if js:
             label += "\\nD" + ",".join(str(j) for j in js)
         attrs = [f'label="{label}"']

@@ -59,15 +59,13 @@ class PlayerRoster:
         succ = graph.successors
         m = graph.n_stages
         players: list[Player] = []
-        self.move_index: dict[tuple[int, int], int] = {}
-        for node in range(1, graph.n + 1):
-            for stage in range(1, m + 1):
-                if graph.advance(node, stage) != stage:
-                    actions: tuple[int, ...] = (ADVANCE,)  # forced transition
-                else:
-                    actions = tuple(succ.get(node, ())) + (DROP,)
-                self.move_index[(node, stage)] = len(players)
-                players.append(Player("move", node, stage=stage, actions=actions))
+        # the move player of state code c is c - m; an arrival that is forced
+        # on does not decide, and its player has the one action ADVANCE
+        for code, land in enumerate(graph.landing[m:].tolist(), start=m):
+            node, j = divmod(code, m)
+            actions = succ[node] + (DROP,) if land == code else (ADVANCE,)
+            players.append(Player("move", node, stage=j + 1, actions=actions))
+        self.move_index = {(p.node, p.stage): i for i, p in enumerate(players)}
         self.entry_index = len(players)
         players.append(Player("entry", SOURCE, actions=tuple(graph.vulnerable)))
         self.defender_start = len(players)
@@ -96,18 +94,11 @@ class PlayerRoster:
         return DefenderStrategy.from_cells(self.graph, values)
 
     def adversary_strategy(self, distributions) -> AdversaryStrategy:
-        graph = self.graph
-        moves: dict[tuple[int, int], dict[int, float]] = {}
         entry = self.players[self.entry_index]
-        dist = distributions[self.entry_index]
-        moves[(SOURCE, 1)] = {a: float(p) for a, p in zip(entry.actions, dist)}
-        for (node, stage), idx in self.move_index.items():
-            player = self.players[idx]
-            if player.actions == (ADVANCE,):
-                continue
-            moves[(node, stage)] = {
-                a: float(p) for a, p in zip(player.actions, distributions[idx])
-            }
+        moves = {(SOURCE, 1): dict(zip(entry.actions, distributions[self.entry_index]))}
+        for player, dist in zip(self.players[:self.entry_index], distributions):
+            if player.actions != (ADVANCE,):
+                moves[(player.node, player.stage)] = dict(zip(player.actions, dist))
         return AdversaryStrategy(moves)
 
 
@@ -203,7 +194,7 @@ class _Rollout:
         self.m = graph.n_stages
         self.ba = np.concatenate(([0.0], np.cumsum(params.beta_a)))
         self.bd = np.concatenate(([0.0], np.cumsum(params.beta_d)))
-        self.adv = graph.advance_table
+        self.landing = graph.landing.tolist()
         # defender block arrays, indexed by player - defender_start
         self.def_cost = params.cell_costs(graph)[roster.defender_cells]
         self.def_players_at = {
@@ -222,7 +213,7 @@ class _Rollout:
         ``seen`` holds the move players already consulted on the walk; it is
         extended in place.
         """
-        roster, adv, m = self.roster, self.adv, self.m
+        roster, landing, m = self.roster, self.landing, self.m
         arrivals: list[int] = []
         pre: list[int] = []
         moves: list[int] = []
@@ -233,10 +224,12 @@ class _Rollout:
             if armed[node]:
                 detected = True
                 break
-            stage = int(adv[node, stage])
-            if stage > m:
+            code = landing[node * m + stage - 1]
+            if code < 0:
+                stage = m + 1
                 break
-            idx = roster.move_index[(node, stage)]
+            stage = code % m + 1
+            idx = code - m
             if idx in seen:
                 break
             seen.add(idx)

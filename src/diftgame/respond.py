@@ -1,10 +1,11 @@
 """Best-response oracles for both players.
 
 The adversary's best response reduces to a shortest-path computation on a
-stage-layered copy of the graph: each node carries its detection probability
-as a weight, and the response maximizes survival * (stage reward - detection
-penalty) + penalty across all candidate destinations, dropping out when every
-candidate is worth less than zero.
+stage-layered copy of the graph, the (node, stage) states that
+``InformationFlowGraph.landing`` numbers: each node carries its detection
+probability as a weight, and the response maximizes survival * (stage reward
+- detection penalty) + penalty across all candidate destinations, dropping
+out when every candidate is worth less than zero.
 
 The defender's best response discretizes probabilities into levels and
 maximizes the resulting set function with the double-greedy pass for
@@ -88,40 +89,41 @@ def adversary_best_response(
     for v in range(1, graph.n + 1):
         weight[v] = math.inf if d[v] >= 1.0 else -math.log1p(-d[v])
 
-    # Dijkstra over (node, post-advance stage); heap keys (dist, path) so that
-    # equal-cost ties settle on the smallest node sequence.  Nodes detected
-    # for certain weigh +inf and settle after every finite state, so they
-    # change no finite arrival but still make their destinations candidates.
-    best_arrival: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {}
-    settled: set[tuple[int, int]] = set()
-    heap: list[tuple[float, tuple[int, ...], int, int]] = [(0.0, (SOURCE,), SOURCE, 1)]
+    # Dijkstra over the ``graph.landing`` codes; heap keys (dist, path) so
+    # that equal-cost ties settle on the smallest node sequence.  Nodes
+    # detected for certain weigh +inf and settle after every finite state, so
+    # they change no finite arrival but still make their destinations candidates.
+    landing = graph.landing.tolist()
+    best_arrival: dict[int, tuple[float, tuple[int, ...]]] = {}
+    settled: set[int] = set()
+    heap = [(0.0, (SOURCE,), 0)] if m else []  # without stages no destination exists
     while heap:
-        dist, path, v, j = heapq.heappop(heap)
-        if (v, j) in settled:
+        dist, path, code = heapq.heappop(heap)
+        if code in settled:
             continue
-        settled.add((v, j))
-        for w in succ.get(v, ()):
+        settled.add(code)
+        for w in succ[code // m]:
             arr_dist = dist + weight[w]
             arr_path = path + (w,)
-            nxt = graph.advance(w, j)
-            for s in range(j, nxt):
-                key = (w, s)
-                cur = best_arrival.get(key)
+            arrival = w * m + code % m
+            land = landing[arrival]
+            for crossed in range(arrival, land if land >= 0 else (w + 1) * m):
+                cur = best_arrival.get(crossed)
                 if cur is None or (arr_dist, arr_path) < cur:
-                    best_arrival[key] = (arr_dist, arr_path)
-            if nxt <= m and (w, nxt) not in settled:
-                heapq.heappush(heap, (arr_dist, arr_path, w, nxt))
+                    best_arrival[crossed] = (arr_dist, arr_path)
+            if land >= 0 and land not in settled:
+                heapq.heappush(heap, (arr_dist, arr_path, land))
 
     candidates = [
         (dest, j) for j, dests in enumerate(graph.stages, start=1) for dest in dests
-        if (dest, j) in best_arrival
+        if dest * m + j - 1 in best_arrival
     ]
     if not candidates:
         raise Unreachable("no destination of any stage is reachable from the source")
 
     best: AdversaryBestResponse | None = None
     for dest, j in sorted(candidates, key=lambda c: (c[1], c[0])):
-        _, path = best_arrival[(dest, j)]
+        _, path = best_arrival[dest * m + j - 1]
         survival = float(math.prod(1.0 - float(d[v]) for v in path[1:]))
         value = survival * (params.beta_a[j - 1] - params.alpha_a) + params.alpha_a
         cand = AdversaryBestResponse(path, j, survival, value, dropped=False)

@@ -133,6 +133,37 @@ def random_cyclic_instance(rng, n_max=8, m=1, density=0.3):
 # ---------------------------------------------------------------------------
 
 
+def oracle_advance(graph, node, stage):
+    """Stage in effect after the forced crossings at ``node``: the cascading
+    membership loop over ``graph.stages``, independent of ``graph.landing``."""
+    while stage <= graph.n_stages and node in graph.stages[stage - 1]:
+        stage += 1
+    return stage
+
+
+def oracle_decision_states(graph):
+    """(s0, 1), then every (v, j) of a real node that ``oracle_advance`` keeps."""
+    return [(SOURCE, 1)] + [(v, j) for v in range(1, graph.n + 1)
+                            for j in range(1, graph.n_stages + 1)
+                            if oracle_advance(graph, v, j) == j]
+
+
+def oracle_chain_states(graph, adversary):
+    """The states of ``AbsorbingChain`` by a tuple-keyed breadth-first search
+    from (s0, 1) along the positive-probability moves, in discovery order,
+    each state's moves taken in ascending action order."""
+    states = [(SOURCE, 1)]
+    index = {states[0]}
+    for v, j in states:
+        for a, p in sorted(adversary.distribution(v, j).items()):
+            if p > 0.0 and a != game.DROP:
+                nxt = oracle_advance(graph, a, j)
+                if nxt <= graph.n_stages and (a, nxt) not in index:
+                    index.add((a, nxt))
+                    states.append((a, nxt))
+    return states
+
+
 def oracle_best_path_value(graph, params, defender):
     """Maximum of survival * (beta_a[j] - alpha_a) + alpha_a over all
     stage-respecting walks, by direct (node, stage)-simple enumeration.
@@ -149,7 +180,7 @@ def oracle_best_path_value(graph, params, defender):
     def rec(node, stage, surv, visited):
         for w in succ.get(node, ()):
             s2 = surv * (1.0 - d[w])
-            nxt = graph.advance(w, stage)
+            nxt = oracle_advance(graph, w, stage)
             for crossed in range(stage, nxt):
                 value = s2 * (params.beta_a[crossed - 1] - params.alpha_a) + params.alpha_a
                 if value > best[0]:
@@ -471,7 +502,7 @@ def oracle_profile_walk(roster, actions):
     stage = 1
     seen = set()
     while True:
-        stage = graph.advance(node, stage)
+        stage = oracle_advance(graph, node, stage)
         if stage > graph.n_stages or (node, stage) in seen:
             break
         seen.add((node, stage))
@@ -696,7 +727,7 @@ def oracle_monte_carlo(graph, params, defender, adversary, n_trials, seed, max_l
     adv_stage = np.zeros((n + 1, m + 2), dtype=np.int64)
     for v in range(n + 1):
         for j in range(1, m + 1):
-            adv_stage[v, j] = graph.advance(v, j)
+            adv_stage[v, j] = oracle_advance(graph, v, j)
     ba_prefix = np.concatenate(([0.0], np.cumsum(params.beta_a)))
     bd_prefix = np.concatenate(([0.0], np.cumsum(params.beta_d)))
     node = np.zeros(n_trials, dtype=np.int64)

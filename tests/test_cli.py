@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -804,3 +805,80 @@ def test_cli_simulate_without_rule_relevance_is_pinned(tmp_path):
     # vector read the rule cells through a padded per-node column table
     assert sha256_text(stdout) == (
         "5b4d80fc6134ffe056a5c1ed6e7a9d6a473cca434154771d5c7c7f0cdacd63b4")
+
+
+# a three-stage graph whose node 4 ends stages 1 and 2, so one arrival there
+# crosses two stages; 1-2-3-1, 2-4-5-2 and 4-6-4 are cycles
+OVERLAP_GRAPH = {
+    "nodes": [{"id": i, "label": f"p{i}", "traffic": 0.1 * i} for i in range(1, 9)],
+    "edges": [[1, 2], [2, 3], [3, 1], [2, 4], [4, 5], [5, 2], [3, 6], [6, 7], [7, 8],
+              [5, 7], [4, 6], [6, 4]],
+    "stages": [[4, 6], [4, 7], [8]],
+    "vulnerable": [1],
+    "rule_relevance": {"1": [1, 2, 3], "2": [2, 3, 5], "3": [1, 3, 4], "4": [4, 5, 6],
+                       "5": [5, 7, 8], "6": [2, 6, 8], "7": [1, 7, 8], "8": [3, 8]},
+}
+
+
+def test_cli_overlapping_stages_outputs_are_pinned(tmp_path, monkeypatch):
+    # SHA-256 of what commit bfa592c printed and wrote, before the forced
+    # stage advance was read from one (node, stage) landing table; relative
+    # paths keep the manifests free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    Path("graph.json").write_text(json.dumps(OVERLAP_GRAPH))
+    graph = ifg.load("graph.json")
+    assert graph.advance(4, 1) == 3
+    rng = np.random.default_rng(31)
+    game.save_defender(game.DefenderStrategy.random(graph, rng), "defender.json")
+    game.save_adversary(game.AdversaryStrategy.random(graph, rng), "adversary.json")
+    runs = {
+        "multi": ["solve-multi", "graph.json", "--max-iters", 200],
+        "bra": ["best-response", "graph.json", "--side", "adversary",
+                "--strategy", "defender.json"],
+        "brd": ["best-response", "graph.json", "--side", "defender",
+                "--strategy", "adversary.json", "--levels", 2],
+        "sim": ["simulate", "graph.json", "--defender", "defender.json",
+                "--adversary", "adversary.json", "--n-trials", 4000, "--seed", 5],
+    }
+    digests = {}
+    for out, argv in runs.items():
+        code, stdout, stderr = run_cli_captured([*argv, "--out-dir", out])
+        assert (code, stderr) == (0, "")
+        digests[f"{out}:stdout"] = sha256_text(stdout)
+        for path in sorted(Path(out).iterdir()):
+            digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == OVERLAP_PINS
+
+
+OVERLAP_PINS = {
+    "bra/manifest.json":
+        "6ea89f0ac4809a7a865af7386a7944b02cfb51f08bdfb33d0628aa0a19e6d581",
+    "bra/response.json":
+        "ea8c257035e8a102190554d0d5552c5dfb309c86f5d137ed76da75b8818fdccf",
+    "bra:stdout":
+        "d26140fde0ddfe3e123f45b3f8f054cdb345c9c2ab893fce6a05ceb893db30d2",
+    "brd/manifest.json":
+        "4af1f4327447d24f7212a14860f3281ed740ad91d633301da3f1b90c8684faa1",
+    "brd/response.json":
+        "f26ffb6ea7d758beac87e064dcb294e13a9151a6bcb693ace5286f707d8bfec8",
+    "brd:stdout":
+        "715e74ec099c0016ebd3c93642eadc71dd091fd107f69bc89dcbdf027d0951c0",
+    "multi/adversary.json":
+        "503f8e2af3a342db7da1bab7b4adefeb60d39f303f810cb2ca5c66bb16a6c692",
+    "multi/defender.json":
+        "ca3f03a6490b5adcaa44e16c7e80e8da2ed9989ed851a23664e76ae12354fc4a",
+    "multi/manifest.json":
+        "4d23fa2fb6701f26ee5b94df512cb08b0bf507f1bc22947dc1f228c7f135ac4c",
+    "multi/summary.json":
+        "8c98a0bc07f2f54d5326fc0b009c5487d27a37c38278ada0f1036da6cdecaa0b",
+    "multi/trace.csv":
+        "1ebea9f27d5b6fd22d9ddca6b6eea62f6e04a00a30e3312d4a7ff202883549a6",
+    "multi:stdout":
+        "9c4e42f64d48af29df90dbf394570dc63ccd1d795d87c8d33958b2574e445c6f",
+    "sim/manifest.json":
+        "92e7ab27f63fa28f11cd367ab7e79433a96370157f6d601f727eb2a8d75f4d4d",
+    "sim/report.csv":
+        "4bab190ce2e02ba45d75778e50bfe318105027ed3d6ff9c2b2c7ccbfe552eae0",
+    "sim:stdout":
+        "4bab190ce2e02ba45d75778e50bfe318105027ed3d6ff9c2b2c7ccbfe552eae0",
+}

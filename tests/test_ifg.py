@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from diftgame import game, generate, ifg
-from diftgame.errors import ParseError, ValidationError
+from diftgame import game, generate, ifg, learn, respond
+from diftgame.errors import ParseError, Unreachable, ValidationError
 
-from conftest import (grid_graph, oracle_entry_reachability, oracle_gen_edges,
-                      oracle_strong_components)
+from conftest import (grid_graph, oracle_advance, oracle_chain_states, oracle_decision_states,
+                      oracle_entry_reachability, oracle_gen_edges, oracle_strong_components)
 
 
 def chain(n=3, stages=((3,),), vulnerable=(1,)):
@@ -501,3 +501,101 @@ def test_advance_cascades_through_overlapping_stages():
     assert g.advance(2, 1) == 3  # node 2 is a destination of stages 1 and 2
     assert g.advance(3, 1) == 1
     assert g.advance(3, 2) == 3
+
+
+def test_advance_rejects_a_state_outside_the_graph():
+    g = ifg.make_graph(3, [(1, 2), (2, 3)], [[2], [2, 3]], [1])
+    assert (g.advance(0, 1), g.advance(3, 3), g.advance(1, 3)) == (1, 3, 3)
+    for node, stage in [(-1, 1), (4, 1), (1, 0), (1, 4)]:
+        with pytest.raises(ValidationError, match=rf"state \({node}, {stage}\) lies outside"):
+            g.advance(node, stage)
+
+
+@pytest.mark.parametrize("dest", [-1, 4], ids=["negative", "past-n"])
+def test_solvers_reject_a_destination_that_is_not_a_node(dest):
+    # numpy would read -1 as node n and n + 1 past the table's end; the
+    # landing table names the destination as validate does instead
+    g = ifg.make_graph(3, [(1, 2), (2, 3)], [[dest]], [1])
+    assert [v.code for v in ifg.validate(g)] == ["unknown-destination"]
+    params = game.default_params(g)
+    defender = game.DefenderStrategy.zeros(g)
+    adversary = game.AdversaryStrategy({(0, 1): {1: 1.0}, (1, 1): {2: 1.0}, (2, 1): {3: 1.0},
+                                        (3, 1): {game.DROP: 1.0}})
+    message = f"stage 1 destination {dest} is not a real node"
+    with pytest.raises(ValidationError, match=message):
+        game.evaluate_exact(g, params, defender, adversary)
+    with pytest.raises(ValidationError, match=message):
+        game.evaluate_monte_carlo(g, params, defender, adversary, 10, seed=0)
+    with pytest.raises(ValidationError, match=message):
+        learn.run(g, params, learn.LearnerConfig(max_iters=5))
+    with pytest.raises(ValidationError, match=message):
+        respond.adversary_best_response(g, params, defender)
+
+
+def test_evaluators_name_the_start_state_of_an_empty_adversary_on_a_stageless_graph():
+    # with no stages the table is empty; both evaluators name (s0, 1) and the
+    # best response finds no destination instead of indexing it
+    g = ifg.make_graph(3, [(1, 2), (2, 3)], [], [1])
+    params = game.default_params(g)
+    defender, adversary = game.DefenderStrategy.zeros(g), game.AdversaryStrategy({})
+    message = "adversary strategy has no distribution for node 0 at stage 1"
+    with pytest.raises(ValidationError, match=message):
+        game.evaluate_exact(g, params, defender, adversary)
+    with pytest.raises(ValidationError, match=message):
+        game.evaluate_monte_carlo(g, params, defender, adversary, 10, seed=0)
+    with pytest.raises(Unreachable):
+        respond.adversary_best_response(g, params, defender)
+
+
+def test_graph_building_and_file_io_leave_the_landing_table_unbuilt(tmp_path):
+    g = generate.gen_graph(12, 2, (1, 1), 1, 0.2, seed=1)
+    ifg.save(g, tmp_path / "graph.json")
+    loaded = ifg.load(tmp_path / "graph.json")
+    assert loaded == g
+    assert "landing" not in g.__dict__ and "landing" not in loaded.__dict__
+
+
+def random_overlapping_graph(rng, m):
+    """A random cyclic graph whose destination sets overlap; with three or
+    more stages its first entry ends stages 1 and 3 but not stage 2."""
+    n = int(rng.integers(4, 11))
+    edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+             if u != v and rng.random() < 0.3]
+    entries = sorted({int(e) for e in rng.integers(1, n + 1, size=2)})
+    stages = [set(rng.integers(1, n + 1, size=int(rng.integers(1, 4))).tolist()) for _ in range(m)]
+    if m >= 3:
+        stages[0].add(entries[0])
+        stages[2].add(entries[0])
+        stages[1] = (stages[1] - {entries[0]}) or {entries[0] % n + 1}
+    return ifg.make_graph(n, edges, stages, entries)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_state_codes_agree_with_the_cascade_oracle(m):
+    rng = np.random.default_rng(4400 + m)
+    for _ in range(30):
+        g = random_overlapping_graph(rng, m)
+        if m >= 3:
+            e = g.vulnerable[0]
+            assert e in g.stages[0] and e not in g.stages[1] and e in g.stages[2]
+        for v in range(g.n + 1):
+            for j in range(1, m + 1):
+                stage = oracle_advance(g, v, j)
+                assert g.landing[v * m + j - 1] == (v * m + stage - 1 if stage <= m else -1)
+                assert g.advance(v, j) == stage
+            assert g.advance(v, m + 1) == m + 1
+        states = oracle_decision_states(g)
+        assert game.AdversaryStrategy.decision_states(g) == states
+        roster = learn.PlayerRoster(g)
+        assert all(roster.move_index[(v, j)] == v * m + j - 1 - m
+                   for v in range(1, g.n + 1) for j in range(1, m + 1))
+        # random moves, some at probability zero, over the oracle's states
+        moves = {}
+        for v, j in states:
+            actions = list(g.successors[v]) + [game.DROP]
+            w = rng.dirichlet(np.ones(len(actions))) * (rng.random(len(actions)) > 0.3)
+            if w.sum() == 0.0:
+                w[-1] = 1.0
+            moves[(v, j)] = dict(zip(actions, (w / w.sum()).tolist()))
+        for adversary in (game.AdversaryStrategy(moves), game.AdversaryStrategy.uniform(g)):
+            assert game.AbsorbingChain(g, adversary).states == oracle_chain_states(g, adversary)

@@ -11,6 +11,7 @@ from diftgame.game import DROP
 from conftest import (
     cell_price,
     marginal_gain,
+    oracle_advance,
     oracle_best_path_value,
     oracle_objective_value,
     oracle_strategy_for,
@@ -114,7 +115,7 @@ def test_best_response_paths_respect_stage_order(rng):
             continue
         stage = 1
         for v in br.path[1:]:
-            stage = g.advance(v, stage)
+            stage = oracle_advance(g, v, stage)
         assert stage == br.target_stage + 1 or stage > g.n_stages
         # the walk must have completed stages 1..target_stage in order
         assert stage >= br.target_stage + 1
