@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Evaluate a strategy pair three ways and watch the estimates agree.
+"""Evaluate a strategy pair two ways and watch the estimates agree.
 
 The exact evaluator solves the adversary's walk as an absorbing Markov
-chain; the Monte Carlo evaluator samples seeded rollouts; the pure-profile
-evaluator scores a single committed 0/1 defense against a fixed walk.
+chain; the Monte Carlo evaluator samples seeded rollouts.  A committed 0/1
+defense against a fixed walk is the exact evaluator on a 0/1 defender
+strategy and a pure-walk adversary.
 """
 
 import math
@@ -44,8 +45,9 @@ print("             |MC - exact| in sigmas: %.2f / %.2f"
 bits = np.zeros((5, 6))
 bits[2, 0] = bits[2, 1] = bits[2, 2] = 1.0
 for walk in [(0, 1, 2, 4), (0, 1, 3, 4)]:
-    u_d, u_a = game.evaluate_pure_profile(graph, params, bits, walk)
-    print(f"pure profile on walk {walk}: U_D = {u_d:.2f}  U_A = {u_a:.2f}")
+    pure = game.evaluate_exact(graph, params, game.DefenderStrategy(bits),
+                               game.AdversaryStrategy.pure_walk(graph, walk))
+    print(f"pure profile on walk {walk}: U_D = {pure.u_d:.2f}  U_A = {pure.u_a:.2f}")
 
 # Walk enumeration lists the adversary's walks one by one, each with the
 # probability that selects it; survival multiplies 1 - d over its arrivals.

@@ -207,7 +207,6 @@ def _cmd_best_response(args) -> int:
         if not isinstance(opponent, game.AdversaryStrategy):
             raise _StageError("load-strategy", DiftGameError(
                 "defender best response needs an adversary strategy file"))
-        _run_stage("validate-strategy", opponent.validate, graph)
         result = _run_stage(
             "best-response", respond.defender_best_response_greedy,
             graph, params, opponent, args.levels, args.variant, args.seed,
@@ -234,7 +233,6 @@ def _cmd_simulate(args) -> int:
     ):
         raise _StageError("load-strategy", DiftGameError(
             "--defender needs a defender file and --adversary an adversary file"))
-    _run_stage("validate-strategy", adversary.validate, graph)
     report = _run_stage(
         "simulate", game.evaluate_monte_carlo,
         graph, params, defender, adversary, args.n_trials, args.seed,

@@ -26,11 +26,10 @@ These evaluators share these semantics:
 * ``evaluate_monte_carlo`` - seeded vectorized rollouts, with standard errors;
                              walks still alive after ``max_len`` moves count as
                              drops.
-* ``evaluate_pure_profile``- deterministic 0/1 defender bits against a fixed
-                             walk; a node's bits are committed once, so a
-                             revisited unarmed node stays unarmed.
 
-All but the last draw detection independently on every node visit.
+Both draw detection independently on every node visit.  A pure profile is
+``evaluate_exact`` on ``DefenderStrategy(bits)`` for 0/1 bits against
+``AdversaryStrategy.pure_walk(graph, walk)``: every draw is then certain.
 ``iter_walks`` and ``CompiledPaths`` enumerate the walks of the adversary's
 support up to ``max_len`` moves; they are the independent reference that
 the chain is tested against on small or acyclic instances.
@@ -382,37 +381,25 @@ class AdversaryStrategy:
     def pure_walk(cls, graph: InformationFlowGraph, walk) -> "AdversaryStrategy":
         """Deterministic strategy following ``walk`` (node ids from s0), dropping elsewhere.
 
-        The whole walk must pass ``check_walk``, steps after the attack
-        completes included, although those steps set no move.
+        Raises InvalidPath for an empty walk, a walk that starts elsewhere, or
+        any step that is not an edge (the first goes from s0 to an entry).
+        Steps after the attack completes are checked too but set no move.
         """
-        walk = check_walk(graph, walk)
+        walk = [int(v) for v in walk]
+        if not walk or walk[0] != SOURCE:
+            raise InvalidPath("a walk must start at the pseudo-source (node 0)")
         moves = {state: {DROP: 1.0} for state in cls.decision_states(graph)}
         stage = 1
         for u, v in zip(walk, walk[1:]):
-            moves[(u, stage)] = {v: 1.0}
-            stage = graph.advance(v, stage)
-            if stage > graph.n_stages:
-                break
+            if v not in graph.successors.get(u, ()):
+                raise InvalidPath(f"step ({u}, {v}) is not an edge")
+            if stage <= graph.n_stages:
+                moves[(u, stage)] = {v: 1.0}
+                stage = graph.advance(v, stage)
         return cls(moves)
 
     def __eq__(self, other):
         return isinstance(other, AdversaryStrategy) and self.moves == other.moves
-
-
-def check_walk(graph: InformationFlowGraph, walk) -> list[int]:
-    """``walk`` as a list of node ids that starts at s0 and steps along edges.
-
-    Raises InvalidPath for an empty walk, a walk that starts elsewhere, or
-    any step that is not an edge; the entry step goes from s0 to an entry.
-    """
-    walk = [int(v) for v in walk]
-    if not walk or walk[0] != SOURCE:
-        raise InvalidPath("a walk must start at the pseudo-source (node 0)")
-    succ = graph.successors
-    for u, v in zip(walk, walk[1:]):
-        if v not in succ.get(u, ()):
-            raise InvalidPath(f"step ({u}, {v}) is not an edge")
-    return walk
 
 
 # --- strategy files --------------------------------------------------------
@@ -1060,51 +1047,3 @@ def evaluate_monte_carlo(
             "truncated": n_truncated,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# pure profiles
-# ---------------------------------------------------------------------------
-
-
-def evaluate_pure_profile(
-    graph: InformationFlowGraph,
-    params: GameParams,
-    defender_bits,
-    adversary_path,
-) -> tuple[float, float]:
-    """Deterministic payoffs for 0/1 defender bits against a fixed walk.
-
-    A node detects iff its tag, trap, and every relevant rule bit are 1; the
-    walk ends at the first such node.  Stage rewards accrue for each stage
-    boundary crossed before detection or the end of the walk.  Defender cost
-    terms cover every set bit, on the walk or not.
-    """
-    params.check_against(graph)
-    bits = np.asarray(defender_bits)
-    if bits.shape != (graph.n + 1, graph.n + 2):
-        raise ValidationError(
-            f"defender bits must have shape (n+1, 2+n), got {bits.shape}"
-        )
-    walk = check_walk(graph, adversary_path)
-
-    nodes, columns = graph.defender_cells
-    armed = np.arange(graph.n + 1) != SOURCE
-    armed[nodes[bits[nodes, columns] == 0]] = False
-    cost = _exact_sum(np.concatenate([t.ravel() for t in _cost_terms(graph, params, bits)]))
-
-    m = graph.n_stages
-    stage = 1
-    u_a = 0.0
-    u_d = cost
-    for v in walk[1:]:
-        if armed[v]:
-            return u_d + params.alpha_d, u_a + params.alpha_a
-        new_stage = graph.advance(v, stage)
-        for s in range(stage, new_stage):
-            u_a += params.beta_a[s - 1]
-            u_d += params.beta_d[s - 1]
-        stage = new_stage
-        if stage > m:
-            break
-    return u_d, u_a

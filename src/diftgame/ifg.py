@@ -237,6 +237,8 @@ def validate(graph: InformationFlowGraph) -> list[Violation]:
         if v == SOURCE:
             out.append(Violation("edge-into-source", f"edge ({u}, {v}) enters the pseudo-source"))
 
+    if not graph.stages:
+        out.append(Violation("no-stages", "the graph has no stages"))
     for j, dest in enumerate(graph.stages, start=1):
         if not dest:
             out.append(Violation("empty-stage", f"destination set of stage {j} is empty"))

@@ -188,6 +188,8 @@ class _Rollout:
     def __init__(self, roster: PlayerRoster, params: GameParams):
         graph = roster.graph
         params.check_against(graph)
+        if not graph.n_stages:
+            raise ValidationError("the graph has no stages")
         self.roster = roster
         self.params = params
         self.graph = graph

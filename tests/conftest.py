@@ -5,9 +5,10 @@ adversary-value oracle enumerates stage-respecting walks directly, the
 separator oracle enumerates node subsets, the stationary-distribution
 oracle solves a dense linear system, the walk oracles score the walks of
 ``game.iter_walks`` one by one, the profile-walk oracle plans a pure
-profile's walk step by step, and the two Dinic oracles (the former recursive
-and iterative max-flows) give the min cut that the Boykov-Kolmogorov one must
-reproduce.  The kernel oracles are the former per-node, per-term, per-state
+profile's walk step by step, the pure-profile oracle scores committed 0/1
+defender bits against a fixed walk arrival by arrival, and the two Dinic
+oracles (the former recursive and iterative max-flows) give the min cut that
+the Boykov-Kolmogorov one must reproduce.  The kernel oracles are the former per-node, per-term, per-state
 and per-element loops that the vectorized kernels must reproduce bit for
 bit; the edge-draw oracle is the generator's former scalar loop, the
 entry-reachability oracle is the former one search per entry, the
@@ -451,7 +452,7 @@ def exhaustive_pure_defender_average(graph, params, defender, walk):
                 weight *= probs[i, c]
             else:
                 weight *= 1.0 - probs[i, c]
-        u_d, u_a = game.evaluate_pure_profile(graph, params, bits, walk)
+        u_d, u_a = oracle_pure_profile(graph, params, bits, walk)
         total_d += weight * u_d
         total_a += weight * u_a
     return total_d, total_a
@@ -521,7 +522,41 @@ def oracle_profile_utilities(graph, params, roster, actions):
     bits = np.zeros((graph.n + 1, graph.n + 2))
     cells = roster.defender_cells
     bits[nodes[cells], columns[cells]] = actions[roster.defender_start:]
-    return game.evaluate_pure_profile(graph, params, bits, oracle_profile_walk(roster, actions))
+    return oracle_pure_profile(graph, params, bits, oracle_profile_walk(roster, actions))
+
+
+def oracle_pure_profile(graph, params, bits, walk):
+    """(u_d, u_a) of 0/1 defender bits, an (n+1) x (n+2) matrix, against a
+    fixed walk from s0 along edges.
+
+    A node detects iff its tag, its trap and every rule relevant there are
+    set, and the walk ends at its first such node; bits are committed once,
+    so a revisited unarmed node stays unarmed.  Stage rewards accrue for each
+    stage crossed before detection or the end of the walk.  The cost terms
+    cover every set bit, on the walk or not, rules not relevant included.
+    """
+    bits = np.asarray(bits)
+    assert bits.shape == (graph.n + 1, graph.n + 2)
+    assert walk[0] == SOURCE
+    assert all(v in graph.successors[u] for u, v in zip(walk, walk[1:]))
+    terms = []
+    for i in range(1, graph.n + 1):
+        terms += [bits[i, 0] * (params.c1 * graph.traffic[i - 1]),
+                  bits[i, 1] * (params.c2 * graph.traffic[i - 1])]
+        terms += [bits[i, 2 + r] * params.gamma[r] for r in range(graph.n)]
+    u_d, u_a = math.fsum(t for t in terms if t), 0.0
+    stage = 1
+    for v in walk[1:]:
+        if bits[v, 0] and bits[v, 1] and all(bits[v, 1 + r] for r in graph.rule_relevance[v - 1]):
+            return u_d + params.alpha_d, u_a + params.alpha_a
+        new_stage = oracle_advance(graph, v, stage)
+        for s in range(stage, new_stage):
+            u_a += params.beta_a[s - 1]
+            u_d += params.beta_d[s - 1]
+        stage = new_stage
+        if stage > graph.n_stages:
+            break
+    return u_d, u_a
 
 
 def oracle_gen_edges(rng, n_nodes, edge_density):

@@ -13,6 +13,7 @@ import pytest
 
 from diftgame import cli, game, generate, ifg
 from diftgame.errors import GenerationFailed, ValidationError
+from diftgame.game import DROP
 
 from conftest import grid_graph, staged_reachability_ok
 
@@ -428,6 +429,67 @@ def test_cli_defender_file_for_another_graph_fails_with_stage(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error [{command}]")
     assert "10 nodes" in err and "has 12" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-single"],
+    ["solve-multi", "--max-iters", 5],
+    ["sweep-cost", "--max-iters", 5, "--sim-trials", 10],
+    ["simulate", "--defender", "defender.json", "--adversary", "adversary.json", "--n-trials", 10],
+    ["best-response", "--side", "adversary", "--strategy", "defender.json"],
+    ["best-response", "--side", "defender", "--strategy", "adversary.json"],
+], ids=["solve-single", "solve-multi", "sweep-cost", "simulate", "best-response-adversary",
+        "best-response-defender"])
+def test_cli_stageless_graph_fails_graph_validation(tmp_path, capsys, argv):
+    g = ifg.make_graph(4, [(1, 2), (2, 3), (3, 4)], [], [1])
+    ifg.save(g, tmp_path / "graph.json")
+    game.save_defender(game.DefenderStrategy.zeros(g), tmp_path / "defender.json")
+    game.save_adversary(game.AdversaryStrategy({}), tmp_path / "adversary.json")
+    argv = [tmp_path / a if str(a).endswith(".json") else a for a in argv]
+    code = run_cli([argv[0], tmp_path / "graph.json", *argv[1:], "--out-dir", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == "error [validate-graph] no-stages: the graph has no stages\n"
+
+
+def test_cli_checks_an_adversary_file_once(tmp_path, graph_file, monkeypatch):
+    files = strategy_files(tmp_path, graph_file)
+    calls = []
+    check = game.AdversaryStrategy.validate
+
+    def counted(self, graph):
+        calls.append(graph.n)
+        return check(self, graph)
+
+    monkeypatch.setattr(game.AdversaryStrategy, "validate", counted)
+    assert run_cli(["simulate", graph_file, *files, "--n-trials", 100,
+                    "--out-dir", tmp_path / "sim"]) == 0
+    assert calls == [8]
+    calls.clear()
+    assert run_cli(["best-response", graph_file, "--side", "defender",
+                    "--strategy", tmp_path / "adversary.json", "--out-dir", tmp_path / "brd"]) == 0
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("command", ["simulate", "best-response"])
+def test_cli_off_edge_adversary_fails_in_the_command_stage(tmp_path, capsys, command):
+    # node 1 in stage 1 moves to 3, which is not its neighbor; the file is
+    # checked where the command compiles it, under the command's own label
+    g = ifg.make_graph(4, [(1, 2), (2, 3), (3, 4)], [[2], [4]], [1])
+    moves = {**game.AdversaryStrategy.uniform(g).moves, (1, 1): {3: 0.5, DROP: 0.5}}
+    graph, defender, adversary = tmp_path / "graph.json", tmp_path / "d.json", tmp_path / "a.json"
+    ifg.save(g, graph)
+    game.save_defender(game.DefenderStrategy.zeros(g), defender)
+    game.save_adversary(game.AdversaryStrategy(moves), adversary)
+    if command == "simulate":
+        argv = ["simulate", graph, "--defender", defender, "--adversary", adversary,
+                "--n-trials", 100]
+    else:
+        argv = ["best-response", graph, "--side", "defender", "--strategy", adversary]
+    code = run_cli([*argv, "--out-dir", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error [{command}] state (1, 1) moves to 3, not a neighbor of 1\n")
+    assert list((tmp_path / "x").iterdir()) == []
 
 
 def test_cli_out_dir_naming_a_file_fails_with_stage(tmp_path, capsys):

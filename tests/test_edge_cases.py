@@ -7,7 +7,12 @@ import pytest
 from diftgame import game, ifg, learn, respond, single_stage
 from diftgame.game import DROP
 
-from conftest import oracle_best_path_value, oracle_separator_min_cost, random_params
+from conftest import (
+    oracle_best_path_value,
+    oracle_pure_profile,
+    oracle_separator_min_cost,
+    random_params,
+)
 
 
 def test_overlapping_destination_sets_cascade_everywhere(rng):
@@ -20,9 +25,9 @@ def test_overlapping_destination_sets_cascade_everywhere(rng):
     rep = game.evaluate_exact(g, p, d, adv)
     assert rep.p_r == (1.0, 1.0)
     assert rep.u_a == pytest.approx(p.beta_a[0] + p.beta_a[1])
-    # pure-profile semantics agree
-    u_d, u_a = game.evaluate_pure_profile(g, p, np.zeros((5, 6)), (0, 1, 2, 3))
-    assert u_a == pytest.approx(rep.u_a)
+    # the committed-bits oracle agrees
+    assert oracle_pure_profile(g, p, np.zeros((5, 6)), (0, 1, 2, 3)) == pytest.approx(
+        (rep.u_d, rep.u_a))
     # the best response sees both candidate stages at node 3
     br = respond.adversary_best_response(g, p, d)
     assert br.value == pytest.approx(oracle_best_path_value(g, p, d), abs=1e-9)

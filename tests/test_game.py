@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import re
 import tracemalloc
@@ -8,15 +10,19 @@ import pytest
 from diftgame import game, generate, ifg
 from diftgame.errors import InvalidPath, TruncationError, ValidationError
 from diftgame.game import DROP
+from diftgame.ifg import SOURCE
 
 from conftest import (
     cell_price,
     exhaustive_pure_defender_average,
+    oracle_advance,
     oracle_detection_prob,
     oracle_detection_vector,
     oracle_monte_carlo,
+    oracle_pure_profile,
     oracle_strategy_costs,
     per_walk_utilities,
+    random_cyclic_instance,
     random_dag_instance,
     random_params,
     walk_outcomes,
@@ -339,11 +345,18 @@ def test_monte_carlo_rejects_zero_trials(rng):
 # ---------------------------------------------------------------------------
 
 
+def pure_profile(g, p, bits, walk):
+    """(u_d, u_a) of 0/1 defender bits against a fixed walk, on the public path."""
+    rep = game.evaluate_exact(g, p, game.DefenderStrategy(bits),
+                              game.AdversaryStrategy.pure_walk(g, walk))
+    return rep.u_d, rep.u_a
+
+
 def test_pure_profile_unarmed_walk_collects_stage_rewards():
     g = ifg.make_graph(4, [(1, 2), (2, 3), (3, 4)], [[2], [4]], [1], rule_relevance=[()] * 4)
     p = game.default_params(g)
     bits = np.zeros((5, 6))
-    u_d, u_a = game.evaluate_pure_profile(g, p, bits, (0, 1, 2, 3, 4))
+    u_d, u_a = pure_profile(g, p, bits, (0, 1, 2, 3, 4))
     assert u_a == pytest.approx(p.beta_a[0] + p.beta_a[1])
     assert u_d == pytest.approx(p.beta_d[0] + p.beta_d[1])
 
@@ -354,7 +367,7 @@ def test_pure_profile_first_node_armed():
     bits = np.zeros((4, 5))
     bits[1, 0] = bits[1, 1] = 1.0
     bits[1, 2] = 1.0  # rule 1 relevant at node 1
-    u_d, u_a = game.evaluate_pure_profile(g, p, bits, (0, 1, 2, 3))
+    u_d, u_a = pure_profile(g, p, bits, (0, 1, 2, 3))
     assert u_a == p.alpha_a
     cost = p.cell_costs(g)[:3].sum()  # node 1's tag, trap and rule 1
     assert u_d == pytest.approx(p.alpha_d + cost)
@@ -365,17 +378,59 @@ def test_pure_profile_rule_bit_blocks_detection_when_unset():
     p = game.default_params(g)
     bits = np.zeros((4, 5))
     bits[1, 0] = bits[1, 1] = 1.0  # tag and trap armed, relevant rule 2 not
-    _, u_a = game.evaluate_pure_profile(g, p, bits, (0, 1, 2, 3))
+    _, u_a = pure_profile(g, p, bits, (0, 1, 2, 3))
     assert u_a == pytest.approx(p.beta_a[0])
 
 
-def test_pure_profile_rejects_non_edges():
-    g = chain_instance()
-    p = game.default_params(g)
-    with pytest.raises(InvalidPath):
-        game.evaluate_pure_profile(g, p, np.zeros((4, 5)), (0, 1, 3))
-    with pytest.raises(InvalidPath):
-        game.evaluate_pure_profile(g, p, np.zeros((4, 5)), (1, 2))
+def random_simple_walk(rng, graph):
+    """A random walk from s0 as a pure profile plans it: it ends at a drop,
+    at completion of the last stage, or at its first revisited (node, stage)
+    state."""
+    walk, node, stage, seen = [SOURCE], SOURCE, 1, set()
+    while graph.successors[node] and rng.random() > 0.1:
+        node = int(rng.choice(graph.successors[node]))
+        walk.append(node)
+        stage = oracle_advance(graph, node, stage)
+        if stage > graph.n_stages or (node, stage) in seen:
+            break
+        seen.add((node, stage))
+    return tuple(walk)
+
+
+def test_exact_pure_profile_matches_the_oracle_on_simple_walks():
+    # committed 0/1 bits make every per-visit draw of the chain certain, so
+    # the chain scores a pure profile; a walk that stops at a revisited
+    # (node, stage) state loops there unarmed, which the chain reads as a drop
+    rng = np.random.default_rng(33)
+    kinds = collections.Counter()
+    for k in range(240):
+        m = k % 4 + 1
+        if k % 2:
+            g = random_cyclic_instance(rng, n_max=10, m=m, density=0.35)
+        else:
+            g = random_dag_instance(rng, n_max=9, m=m)
+        p = random_params(rng, g.n, m)
+        bits = (rng.random((g.n + 1, g.n + 2)) < rng.uniform(0.3, 1.0)).astype(float)
+        bits[0] = 0.0
+        walk = random_simple_walk(rng, g)
+        want = oracle_pure_profile(g, p, bits, walk)
+        assert pure_profile(g, p, bits, walk) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+        arrivals, stage = [], 1  # the (node, stage) landings before an armed arrival
+        for v in walk[1:]:
+            if bits[v, 0] and bits[v, 1] and all(bits[v, 1 + r] for r in g.rule_relevance[v - 1]):
+                kinds["detected"] += 1
+                break
+            stage = oracle_advance(g, v, stage)
+            arrivals.append((v, stage))
+        else:
+            if arrivals and arrivals[-1][1] > m:
+                kinds["completes"] += 1
+            elif arrivals and arrivals[-1] in arrivals[:-1]:
+                kinds["stops at a revisited state"] += 1
+        kinds["revisits a node in a later stage"] += any(
+            v == w and j < i for (v, j), (w, i) in itertools.combinations(arrivals, 2))
+    assert len(kinds) == 4 and all(kinds.values()), kinds
 
 
 @pytest.mark.parametrize("walk", [(), (1, 2), (0, 2), (0, 1, 3), (0, 1, 2, 3, 1)],

@@ -66,6 +66,14 @@ def test_validate_flags_empty_stage():
     assert any(v.code == "empty-stage" and "stage 2" in v.detail for v in violations)
 
 
+def test_validate_flags_a_graph_without_stages_and_the_learner_names_it():
+    # the learner names the missing stages rather than indexing an empty stage list
+    g = ifg.make_graph(4, [(1, 2), (2, 3), (3, 4)], [], [1])
+    assert [str(v) for v in ifg.validate(g)] == ["no-stages: the graph has no stages"]
+    with pytest.raises(ValidationError, match="the graph has no stages"):
+        learn.run(g, game.default_params(g), learn.LearnerConfig(max_iters=5))
+
+
 def test_validate_flags_dangling_edge():
     g = chain()
     bad = ifg.InformationFlowGraph(
