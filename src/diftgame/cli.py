@@ -2,11 +2,14 @@
 
 Subcommands: gen-graph, solve-single, solve-multi, best-response, simulate,
 sweep-cost.  Every run writes its result files plus a ``manifest.json``
-capturing the fully resolved configuration and seed; reruns with an
-identical manifest produce byte-identical outputs.  Data goes to files and
-standard output, diagnostics to standard error; exit code 0 on success, 1
-on a solver/module error (the message names the failing stage), 2 on usage
-errors.
+whose ``config`` is the parsed command line: every option except those that
+name outputs (``--out-dir``, ``--name``, ``--dot``), with ``params`` the
+resolved parameter block and its origin (a file or the defaults), and
+gen-graph's ``dest_per_stage`` the broadcast per-stage list.  Rerunning the
+command line a manifest records writes byte-identical outputs.  Data goes
+to files and standard output, diagnostics to standard error; exit code 0 on
+success, 1 on a solver/module error (the message names the failing stage),
+2 on usage errors.
 
 The default output directory is taken from ``DIFTGAME_OUTPUT_DIR`` when set.
 """
@@ -14,6 +17,7 @@ The default output directory is taken from ``DIFTGAME_OUTPUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -21,6 +25,10 @@ from pathlib import Path
 
 from . import experiments, game, generate, ifg, learn, respond, single_stage
 from .errors import DiftGameError
+
+# parsed arguments that a manifest's config leaves out: the subcommand and its
+# function, and the options that name outputs
+_NOT_CONFIG = frozenset({"command", "fn", "out_dir", "name", "dot"})
 
 
 class _StageError(Exception):
@@ -49,9 +57,14 @@ def _write_text(path: Path, text: str) -> None:
     _run_stage("write", path.write_bytes, text.encode("utf-8"))  # no newline translation
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
+def _config(args, **resolved) -> dict:
+    """A manifest's config: every parsed option but those naming outputs, then ``resolved``."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG} | resolved
+
+
+def _write_manifest(out: Path, args, config: dict, outputs: list[str]) -> None:
     _run_stage("write", ifg.write_json,
-               {"command": command, "config": resolved, "outputs": sorted(outputs)},
+               {"command": args.command, "config": config, "outputs": sorted(outputs)},
                out / "manifest.json")
 
 
@@ -81,27 +94,32 @@ def load_params_file(path, graph: ifg.InformationFlowGraph) -> game.GameParams:
     )
 
 
-def _params_for(args, graph) -> tuple[game.GameParams, dict]:
-    if getattr(args, "params", None):
-        p = _run_stage("load-params", load_params_file, args.params, graph)
-        origin = {"file": str(args.params)}
-    else:
-        p = _run_stage("default-params", game.default_params, graph)
-        origin = {"default": True}
-    resolved = {
-        "alpha_a": p.alpha_a, "beta_a": list(p.beta_a),
-        "alpha_d": p.alpha_d, "beta_d": list(p.beta_d),
-        "c1": p.c1, "c2": p.c2, "gamma": list(p.gamma), "origin": origin,
-    }
-    return p, resolved
-
-
 def _load_graph(path) -> ifg.InformationFlowGraph:
     graph = _run_stage("load-graph", ifg.load, path)
     violations = ifg.validate(graph)
     if violations:
         raise _StageError("validate-graph", DiftGameError("; ".join(map(str, violations))))
     return graph
+
+
+def _inputs(args) -> tuple[Path, ifg.InformationFlowGraph, game.GameParams, dict]:
+    """A solver run's output directory, validated graph, parameters and manifest config."""
+    out = _out_dir(args)
+    graph = _load_graph(args.graph)
+    if args.params:
+        params = _run_stage("load-params", load_params_file, args.params, graph)
+        origin = {"file": args.params}
+    else:
+        params = _run_stage("default-params", game.default_params, graph)
+        origin = {"default": True}
+    # each field as it is: asdict would copy every gamma entry one by one
+    fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    return out, graph, params, _config(args, params=fields | {"origin": origin})
+
+
+def _learner_config(args) -> learn.LearnerConfig:
+    return learn.LearnerConfig(**{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(learn.LearnerConfig)})
 
 
 def int_list(text: str) -> list[int]:
@@ -136,18 +154,13 @@ def _cmd_gen_graph(args) -> int:
     if args.dot:
         _write_text(out / args.dot, ifg.export_dot(graph))
         outputs.append(args.dot)
-    _write_manifest(out, "gen-graph", {
-        "nodes": args.nodes, "stages": args.stages, "dest_per_stage": dests,
-        "entries": args.entries, "density": args.density, "seed": args.seed,
-    }, outputs)
+    _write_manifest(out, args, _config(args, dest_per_stage=dests), outputs)
     print(graph_path)
     return 0
 
 
 def _cmd_solve_single(args) -> int:
-    out = _out_dir(args)
-    graph = _load_graph(args.graph)
-    params, resolved = _params_for(args, graph)
+    out, graph, params, config = _inputs(args)
     eq = _run_stage("solve-single", single_stage.solve_single_stage, graph, params)
     _run_stage("write", game.save_defender, eq.defender, out / "defender.json")
     mixture = {
@@ -155,8 +168,7 @@ def _cmd_solve_single(args) -> int:
         "weights": {str(node): eq.pi[node] for node in sorted(eq.pi)},
     }
     _run_stage("write", ifg.write_json, mixture, out / "adversary_mixture.json")
-    _write_manifest(out, "solve-single", {"graph": str(args.graph), "params": resolved},
-                    ["defender.json", "adversary_mixture.json"])
+    _write_manifest(out, args, config, ["defender.json", "adversary_mixture.json"])
     print(f"diagnostics: {eq.diagnostics}")
     print(f"cut nodes: {list(eq.nodes)} (cost {eq.cut.cost!r})")
     print(f"values: U_D={eq.u_d!r} U_A={eq.u_a!r}")
@@ -166,11 +178,8 @@ def _cmd_solve_single(args) -> int:
 
 
 def _cmd_solve_multi(args) -> int:
-    out = _out_dir(args)
-    graph = _load_graph(args.graph)
-    params, resolved = _params_for(args, graph)
-    cfg = learn.LearnerConfig(eta=args.eta, eps=args.eps, max_iters=args.max_iters, seed=args.seed)
-    result = _run_stage("solve-multi", learn.run, graph, params, cfg)
+    out, graph, params, config = _inputs(args)
+    result = _run_stage("solve-multi", learn.run, graph, params, _learner_config(args))
     _write_text(out / "trace.csv", result.trace_csv())
     _run_stage("write", game.save_defender, result.defender_strategy(), out / "defender.json")
     _run_stage("write", game.save_adversary, result.adversary_strategy(), out / "adversary.json")
@@ -181,32 +190,27 @@ def _cmd_solve_multi(args) -> int:
         "players": len(result.roster),
     }
     _run_stage("write", ifg.write_json, summary, out / "summary.json")
-    _write_manifest(out, "solve-multi", {
-        "graph": str(args.graph), "params": resolved,
-        "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters, "seed": args.seed,
-    }, ["trace.csv", "defender.json", "adversary.json", "summary.json"])
+    _write_manifest(out, args, config,
+                    ["trace.csv", "defender.json", "adversary.json", "summary.json"])
     print(f"converged: {result.converged} after {result.iterations} iterations "
           f"(final gap {result.final_gap!r})")
     return 0
 
 
 def _cmd_best_response(args) -> int:
-    out = _out_dir(args)
-    graph = _load_graph(args.graph)
-    params, resolved = _params_for(args, graph)
+    out, graph, params, config = _inputs(args)
+    kind, wanted = ((game.DefenderStrategy, "a defender") if args.side == "adversary"
+                    else (game.AdversaryStrategy, "an adversary"))
     opponent = _run_stage("load-strategy", game.load_strategy, args.strategy)
+    if not isinstance(opponent, kind):
+        raise _StageError("load-strategy", DiftGameError(
+            f"{args.side} best response needs {wanted} strategy file"))
     if args.side == "adversary":
-        if not isinstance(opponent, game.DefenderStrategy):
-            raise _StageError("load-strategy", DiftGameError(
-                "adversary best response needs a defender strategy file"))
         br = _run_stage("best-response", respond.adversary_best_response, graph, params, opponent)
         _run_stage("write", game.save_adversary, br.to_strategy(graph), out / "response.json")
         print(f"value: {br.value!r} (stage {br.target_stage}, dropped={br.dropped})")
         print(f"path: {list(br.path)}")
     else:
-        if not isinstance(opponent, game.AdversaryStrategy):
-            raise _StageError("load-strategy", DiftGameError(
-                "defender best response needs an adversary strategy file"))
         result = _run_stage(
             "best-response", respond.defender_best_response_greedy,
             graph, params, opponent, args.levels, args.variant, args.seed,
@@ -214,18 +218,12 @@ def _cmd_best_response(args) -> int:
         _run_stage("write", game.save_defender, result.strategy, out / "response.json")
         print(f"value: {result.value!r} ({len(result.selected)} of {len(result.ground)} "
               f"ground elements, {result.n_evaluations} evaluations)")
-    _write_manifest(out, "best-response", {
-        "graph": str(args.graph), "params": resolved, "side": args.side,
-        "strategy": str(args.strategy), "levels": args.levels,
-        "variant": args.variant, "seed": args.seed,
-    }, ["response.json"])
+    _write_manifest(out, args, config, ["response.json"])
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    graph = _load_graph(args.graph)
-    params, resolved = _params_for(args, graph)
+    out, graph, params, config = _inputs(args)
     defender = _run_stage("load-strategy", game.load_strategy, args.defender)
     adversary = _run_stage("load-strategy", game.load_strategy, args.adversary)
     if not isinstance(defender, game.DefenderStrategy) or not isinstance(
@@ -239,29 +237,19 @@ def _cmd_simulate(args) -> int:
     )
     csv_text = game.UtilityReport.csv_header(graph.n_stages) + "\n" + report.csv_row() + "\n"
     _write_text(out / "report.csv", csv_text)
-    _write_manifest(out, "simulate", {
-        "graph": str(args.graph), "params": resolved, "defender": str(args.defender),
-        "adversary": str(args.adversary), "n_trials": args.n_trials, "seed": args.seed,
-    }, ["report.csv"])
+    _write_manifest(out, args, config, ["report.csv"])
     print(csv_text, end="")
     return 0
 
 
 def _cmd_sweep_cost(args) -> int:
-    out = _out_dir(args)
-    graph = _load_graph(args.graph)
-    params, resolved = _params_for(args, graph)
-    cfg = learn.LearnerConfig(eta=args.eta, eps=args.eps, max_iters=args.max_iters, seed=args.seed)
+    out, graph, params, config = _inputs(args)
     sweep = _run_stage(
         "sweep-cost", experiments.sweep_cost,
-        graph, params, args.factors, cfg, args.sim_trials, args.seed,
+        graph, params, args.factors, _learner_config(args), args.sim_trials, args.seed,
     )
     _write_text(out / "sweep.csv", sweep.to_csv())
-    _write_manifest(out, "sweep-cost", {
-        "graph": str(args.graph), "params": resolved, "factors": args.factors,
-        "eta": args.eta, "eps": args.eps, "max_iters": args.max_iters,
-        "seed": args.seed, "sim_trials": args.sim_trials,
-    }, ["sweep.csv"])
+    _write_manifest(out, args, config, ["sweep.csv"])
     print(sweep.to_csv(), end="")
     return 0
 
@@ -276,15 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out-dir", default=None,
                        help="output directory (default: $DIFTGAME_OUTPUT_DIR or '.')")
+        p.set_defaults(fn=fn)
+        return p
 
-    def with_params(p):
+    def solver(name, fn, help):
+        p = command(name, fn, help)
         p.add_argument("--params", default=None, help="JSON parameter block override")
+        p.add_argument("graph")
+        return p
 
-    p = sub.add_parser("gen-graph", help="generate a synthetic staged attack graph")
-    common(p)
+    def learner(p):
+        p.add_argument("--eta", type=float, default=0.1)
+        p.add_argument("--eps", type=float, default=1e-3)
+        p.add_argument("--max-iters", type=int, default=50_000)
+        p.add_argument("--seed", type=seed_value, default=0)
+
+    p = command("gen-graph", _cmd_gen_graph, "generate a synthetic staged attack graph")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--dest-per-stage", type=int_list, default="2",
@@ -294,52 +293,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--name", default="graph.json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering to this file")
-    p.set_defaults(fn=_cmd_gen_graph)
 
-    p = sub.add_parser("solve-single", help="exact single-stage equilibrium via min-cut")
-    common(p); with_params(p)
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_solve_single)
+    solver("solve-single", _cmd_solve_single, "exact single-stage equilibrium via min-cut")
 
-    p = sub.add_parser("solve-multi", help="multi-stage learning equilibrium")
-    common(p); with_params(p)
-    p.add_argument("graph")
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--seed", type=seed_value, default=0)
-    p.set_defaults(fn=_cmd_solve_multi)
+    learner(solver("solve-multi", _cmd_solve_multi, "multi-stage learning equilibrium"))
 
-    p = sub.add_parser("best-response", help="one-sided best response to a strategy file")
-    common(p); with_params(p)
-    p.add_argument("graph")
+    p = solver("best-response", _cmd_best_response, "one-sided best response to a strategy file")
     p.add_argument("--side", choices=("adversary", "defender"), required=True)
     p.add_argument("--strategy", required=True, help="opponent strategy file")
     p.add_argument("--levels", type=int, default=1,
                    help="defender discretization levels per component")
     p.add_argument("--variant", choices=("randomized", "deterministic"), default="randomized")
     p.add_argument("--seed", type=seed_value, default=0)
-    p.set_defaults(fn=_cmd_best_response)
 
-    p = sub.add_parser("simulate", help="Monte Carlo utility estimate for a strategy pair")
-    common(p); with_params(p)
-    p.add_argument("graph")
+    p = solver("simulate", _cmd_simulate, "Monte Carlo utility estimate for a strategy pair")
     p.add_argument("--defender", required=True)
     p.add_argument("--adversary", required=True)
     p.add_argument("--n-trials", type=int, required=True)
     p.add_argument("--seed", type=seed_value, default=0)
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("sweep-cost", help="defender utility vs. defense cost scale")
-    common(p); with_params(p)
-    p.add_argument("graph")
+    p = solver("sweep-cost", _cmd_sweep_cost, "defender utility vs. defense cost scale")
     p.add_argument("--factors", type=float_list, default="0.01,0.1,0.5,1,3,6,10")
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--seed", type=seed_value, default=0)
+    learner(p)
     p.add_argument("--sim-trials", type=int, default=20_000)
-    p.set_defaults(fn=_cmd_sweep_cost)
 
     return parser
 

@@ -240,10 +240,15 @@ class DefenderStrategy:
         The values are checked as the constructor checks a matrix, and only
         the nonzero ones are written, straight into the stored matrix: the
         pages of a large matrix that hold none are never touched, and no
-        second dense copy is made.
+        second dense copy is made.  Raises ValidationError unless ``values``
+        holds exactly one entry per cell.
         """
         nodes, columns = graph.defender_cells
         values = np.asarray(values, dtype=float)
+        if values.shape != nodes.shape:
+            raise ValidationError(
+                f"expected {len(nodes)} defender cell values, got shape {values.shape}"
+            )
         _check_range(values, lambda k: (nodes[k], columns[k]))
         on = values != 0.0
         probs = np.zeros((graph.n + 1, graph.n + 2))
@@ -251,7 +256,16 @@ class DefenderStrategy:
         return cls._owning(probs)
 
     def with_entry(self, node: int, component: int, value: float) -> "DefenderStrategy":
-        """Copy with one entry replaced; ``component`` is 1=tag, 2=trap, 2+r=rule r."""
+        """Copy with one entry replaced; ``component`` is 1=tag, 2=trap, 2+r=rule r.
+
+        Raises ValidationError for a node outside 1..n or a component outside
+        1..n+2.
+        """
+        if not (1 <= node <= self.n and 1 <= component <= self.n + 2):
+            raise ValidationError(
+                f"no defender entry at node {node}, component {component}: "
+                f"nodes run 1..{self.n} and components 1..{self.n + 2}"
+            )
         probs = self.probs.copy()
         probs[node, component - 1] = value
         return DefenderStrategy._owning(_clipped(probs))
@@ -422,7 +436,8 @@ def load_strategy(path):
     """Load either strategy kind; the file's ``kind`` field decides.
 
     Raises ParseError, naming the field and ``path``, for malformed JSON, a
-    missing field, or a value of the wrong kind.
+    missing field, a value of the wrong kind, or a defender ``n`` that is not
+    the number of rows less one.
     """
     raw = read_json(path)
     kind = raw.get("kind")
@@ -430,6 +445,9 @@ def load_strategy(path):
         rows = need(raw, "probs", list, path)
         if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(rows) + 1}):
             raise ParseError("expected n + 1 rows of n + 2 numbers", field="probs", path=path)
+        if "n" in raw and (type(raw["n"]) is not int or raw["n"] != len(rows) - 1):
+            raise ParseError(f"expected {len(rows) - 1}, one less than the rows of probs, "
+                             f"got {raw['n']!r}", field="n", path=path)
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
             rows = [[read_number(p, "probs", path) for p in row] for row in rows]
         return DefenderStrategy(rows)

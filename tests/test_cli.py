@@ -944,3 +944,91 @@ OVERLAP_PINS = {
     "sim:stdout":
         "4bab190ce2e02ba45d75778e50bfe318105027ed3d6ff9c2b2c7ccbfe552eae0",
 }
+
+
+# one run of every subcommand, each into its own directory: the argv, then the
+# options that name outputs, which a manifest leaves out of its config
+MANIFEST_RUNS = {
+    "gen": (["gen-graph", "--nodes", 12, "--stages", 3, "--dest-per-stage", "1",
+             "--entries", 2, "--density", 0.2, "--seed", 3], ["--dot", "graph.dot"]),
+    "gen1": (["gen-graph", "--nodes", 10, "--stages", 1, "--density", 0.15, "--seed", 9], []),
+    "single": (["solve-single", "gen1/graph.json"], []),
+    "single-params": (["solve-single", "gen1/graph.json", "--params", "params.json"], []),
+    "multi": (["solve-multi", "gen/graph.json", "--max-iters", 40, "--eta", 0.2,
+               "--seed", 4], []),
+    "bra": (["best-response", "gen/graph.json", "--side", "adversary",
+             "--strategy", "multi/defender.json"], []),
+    "brd": (["best-response", "gen/graph.json", "--side", "defender",
+             "--strategy", "multi/adversary.json", "--levels", 2,
+             "--variant", "deterministic", "--seed", 1], []),
+    "sim": (["simulate", "gen/graph.json", "--params", "params3.json",
+             "--defender", "multi/defender.json", "--adversary", "multi/adversary.json",
+             "--n-trials", 300, "--seed", 6], []),
+    "sweep": (["sweep-cost", "gen/graph.json", "--factors", "0.5,3", "--max-iters", 30,
+               "--sim-trials", 200, "--seed", 2], []),
+}
+
+
+def run_manifest_runs():
+    """Every run of MANIFEST_RUNS, in the current directory."""
+    Path("params.json").write_text(json.dumps({**GOOD_PARAMS, "beta_a": [10],
+                                               "beta_d": [-10]}))
+    Path("params3.json").write_text(json.dumps({**GOOD_PARAMS, "beta_a": [10, 20, 30],
+                                                "beta_d": [-10, -20, -30]}))
+    for out, (argv, outputs) in MANIFEST_RUNS.items():
+        assert run_cli([*argv, *outputs, "--out-dir", out]) == 0, out
+
+
+def argv_from_manifest(manifest):
+    """The command line a manifest records: the graph as the positional, a
+    parameter file as ``--params``, and every other config entry as its option."""
+    argv = [manifest["command"]]
+    for key, value in sorted(manifest["config"].items()):
+        if key == "graph":
+            argv.append(value)
+        elif key == "params":
+            if "file" in value["origin"]:
+                argv += ["--params", value["origin"]["file"]]
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + key.replace("_", "-"), text]
+    return argv
+
+
+def test_cli_manifests_are_pinned(tmp_path, monkeypatch):
+    # SHA-256 of the manifests written by commit f51cd9e, whose commands each
+    # copied their options into a hand-written config; relative paths keep the
+    # manifests free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    run_manifest_runs()
+    digests = {out: hashlib.sha256(Path(out, "manifest.json").read_bytes()).hexdigest()
+               for out in MANIFEST_RUNS}
+    assert digests == MANIFEST_PINS
+
+
+MANIFEST_PINS = {
+    "gen": "51e74bd460bcef903835b813be83442c402e97a0a44def4bb61aa5263e95fd7c",
+    "gen1": "ebe726c860ca9ea90496f21333789095f6df2f0617a8f9300485f2726414a74b",
+    "single": "e27b7b959bb94e2556ce290eb63e96274a3b25638fcb84d33e4095d02885b0d9",
+    "single-params": "5226b92d2f85bdeb11acf145708634d74c8274e6f9515a99c8a2fe79838a981f",
+    "multi": "c12f29063d5944db1b30d6291b68cfb7e0f155ce7506ae323ea163506dfcff68",
+    "bra": "d5f7db82f5b4931400de8aa62c6cf13c19b297a4dfb38b0ecdfa413800583138",
+    "brd": "992517f241b8a11940aa1f8bda44f2d8faf0bb974a717f716dd77e72cbacfc4d",
+    "sim": "c27df6d250770e81e72a6152d5f348d501e441100598902ea065d68180fb782c",
+    "sweep": "5e799fa883fa9cc20443115157ea140ec57f7341dab91d3405275543e4c0ad8f",
+}
+
+
+def test_cli_reruns_from_the_manifest_are_byte_identical(tmp_path, monkeypatch):
+    # a manifest's config holds every option but those that name outputs, so
+    # the command line it records writes the same files, manifest included
+    monkeypatch.chdir(tmp_path)
+    run_manifest_runs()
+    for out, (_, outputs) in MANIFEST_RUNS.items():
+        argv = argv_from_manifest(json.loads(Path(out, "manifest.json").read_text()))
+        replay = Path("replay", out)
+        assert run_cli([*argv, *outputs, "--out-dir", replay]) == 0, out
+        files = sorted(p.name for p in Path(out).iterdir())
+        assert sorted(p.name for p in replay.iterdir()) == files
+        for name in files:
+            assert (replay / name).read_bytes() == Path(out, name).read_bytes(), (out, name)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from diftgame import game, generate, ifg
-from diftgame.errors import InvalidPath, TruncationError, ValidationError
+from diftgame.errors import InvalidPath, ParseError, TruncationError, ValidationError
 from diftgame.game import DROP
 from diftgame.ifg import SOURCE
 
@@ -185,6 +186,30 @@ def test_defender_builds_hold_one_matrix():
     assert probs[1, 0] == -1e-12 and probs[1, 1] == 1.0 + 1e-12 and probs.flags.writeable
     assert not np.shares_memory(strategy.probs, probs)
     assert strategy.probs[1, 0] == 0.0 and strategy.probs[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("node, component", [(3, 0), (0, 1), (9, 1), (-1, 1), (3, 11)])
+def test_with_entry_rejects_an_entry_outside_the_matrix(node, component):
+    # component 0 once wrote the last rule column, numpy reading index -1
+    g = generate.gen_graph(8, 2, 1, 1, 0.2, seed=1)
+    base = game.DefenderStrategy.zeros(g)
+    with pytest.raises(ValidationError, match=f"node {node}, component {component}: "
+                                              r"nodes run 1\.\.8 and components 1\.\.10"):
+        base.with_entry(node, component, 0.7)
+    assert not base.probs.any()
+    corner = base.with_entry(8, 10, 0.7).with_entry(1, 1, 0.7)
+    assert corner.probs[8, 9] == corner.probs[1, 0] == 0.7 and corner.probs.sum() == 1.4
+
+
+def test_from_cells_rejects_a_value_vector_of_another_length():
+    g = generate.gen_graph(8, 2, 1, 1, 0.2, seed=1)
+    cells = len(g.defender_cells[0])
+    full = game.DefenderStrategy.from_cells(g, np.full(cells, 0.5))
+    assert full.cells(g).tolist() == [0.5] * cells
+    for shape in [(0,), (cells - 1,), (cells + 1,), (2, cells)]:
+        with pytest.raises(ValidationError, match=rf"expected {cells} defender cell values, "
+                                                  rf"got shape \({shape[0]},"):
+            game.DefenderStrategy.from_cells(g, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +571,20 @@ def test_strategy_files_round_trip(tmp_path, rng):
     for state, dist in adv.moves.items():
         for act, prob in dist.items():
             assert a2.moves[state][act] == pytest.approx(prob)
+
+
+@pytest.mark.parametrize("n", [99, 7, 8.0, True, "8"])
+def test_defender_file_n_must_match_its_rows(tmp_path, n):
+    path = tmp_path / "defender.json"
+    rows = np.zeros((9, 10)).tolist()
+    path.write_text(json.dumps({"kind": "defender", "n": 8, "probs": rows}))
+    assert game.load_strategy(path).n == 8
+    path.write_text(json.dumps({"kind": "defender", "probs": rows}))
+    assert game.load_strategy(path).n == 8  # n is optional
+    path.write_text(json.dumps({"kind": "defender", "n": n, "probs": rows}))
+    with pytest.raises(ParseError, match=f"expected 8, .* got {re.escape(repr(n))}") as info:
+        game.load_strategy(path)
+    assert (info.value.field, info.value.path) == ("n", path)
 
 
 def test_adversary_strategy_validation_rejects_non_neighbors():
